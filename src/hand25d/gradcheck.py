@@ -1,8 +1,10 @@
 """Central-difference verification of the analytic VJPs.
 
-For each seeded random problem the driver projects the op's outputs onto
-a random upstream cotangent, giving a scalar whose gradient equals the
-VJP; central differences of that scalar are then compared entrywise.
+One table gives, per target, its inputs drawn from a seeded random
+problem, the shape of an upstream cotangent, the forward function and
+the VJP. The driver checks each target the same way: the scalar
+sum(upstream * forward(*inputs)) has gradient vjp(upstream, *inputs),
+and central differences of that scalar are compared entrywise.
 
 Error measure: |analytic - fd| / max(|analytic|, |fd|, 1e-6). The floor
 keeps accidental near-zero gradient entries (where central differences
@@ -11,15 +13,21 @@ are pure rounding noise) from dominating the report.
 Steps below 1e-8 are flagged as a finite-difference breakdown: there the
 difference quotient is rounding-dominated in float64 no matter how good
 the analytic gradient is, so a large error is reported as a warning, not
-a failure.
+a failure. A non-finite entry in either gradient counts as an infinite
+error and fails the check at any step.
+
+seeds must be an integer >= 1, and eps and tol finite and positive;
+anything else raises ConfigError.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownTargetError
+from .errors import ConfigError, UnknownTargetError
 from .heatmap import (
     HeatmapStack,
     SpreadParams,
@@ -73,7 +81,9 @@ class GradcheckReport:
 
 def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_ERR_FLOOR)
-    return np.abs(analytic - fd) / denom
+    with np.errstate(invalid="ignore"):
+        err = np.abs(analytic - fd) / denom
+    return np.where(np.isfinite(analytic) & np.isfinite(fd), err, np.inf)
 
 
 def _fd_gradient(scalar_fn, arrays: list[np.ndarray], eps: float) -> list[np.ndarray]:
@@ -94,74 +104,49 @@ def _fd_gradient(scalar_fn, arrays: list[np.ndarray], eps: float) -> list[np.nda
     return grads
 
 
-def _problem(seed: int):
-    rng = np.random.default_rng(seed)
-    latent = rng.uniform(-1.0, 1.0, (_K, _H, _W))
-    depth = rng.uniform(-1.0, 1.0, (_K, _H, _W))
-    beta = rng.uniform(0.5, 2.0, _K)
-    return rng, latent, depth, beta
+def _first_prob(latent: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    return spatial_softmax(latent[:1], SpreadParams(beta=beta[:1]))[0]
 
 
-def _case_decode_latent(seed: int, eps: float):
-    rng, latent, depth, beta = _problem(seed)
-    upstream = rng.normal(size=(_K, 3))
-
-    def analytic():
-        stack = HeatmapStack(kind="latent", likelihood=latent, depth=depth)
-        return vjp_decode_latent(stack, SpreadParams(beta=beta), upstream)
-
-    def scalar():
-        stack = HeatmapStack(kind="latent", likelihood=latent, depth=depth)
-        decoded = decode_latent(stack, SpreadParams(beta=beta))
-        out = np.column_stack([decoded.xy, decoded.zr])
-        return float((upstream * out).sum())
-
-    names = ["likelihood", "depth", "beta"]
-    return analytic(), _fd_gradient(scalar, [latent, depth, beta], eps), names
+def _decode_xyz(likelihood, depth, beta) -> np.ndarray:
+    stack = HeatmapStack(kind="latent", likelihood=likelihood, depth=depth)
+    decoded = decode_latent(stack, SpreadParams(beta=beta))
+    return np.column_stack([decoded.xy, decoded.zr])
 
 
-def _case_spatial_softmax(seed: int, eps: float):
-    rng, latent, _, beta = _problem(seed)
-    upstream = rng.normal(size=(_K, _H, _W))
-
-    def scalar():
-        return float((spatial_softmax(latent, SpreadParams(beta=beta)) * upstream).sum())
-
-    analytic = vjp_spatial_softmax(latent, SpreadParams(beta=beta), upstream)
-    return analytic, _fd_gradient(scalar, [latent, beta], eps), ["latent", "beta"]
-
-
-def _case_softargmax(seed: int, eps: float):
-    rng, latent, _, beta = _problem(seed)
-    prob = spatial_softmax(latent[:1], SpreadParams(beta=beta[:1]))[0]
-    upstream = tuple(rng.normal(size=2))
-
-    def scalar():
-        x, y = softargmax(prob, validate=False)
-        return float(upstream[0] * x + upstream[1] * y)
-
-    analytic = (vjp_softargmax(prob, upstream),)
-    return analytic, _fd_gradient(scalar, [prob], eps), ["prob"]
-
-
-def _case_depth_readout(seed: int, eps: float):
-    rng, latent, depth, beta = _problem(seed)
-    prob = spatial_softmax(latent[:1], SpreadParams(beta=beta[:1]))[0]
-    dmap = depth[0]
-    upstream = float(rng.normal())
-
-    def scalar():
-        return upstream * depth_readout(prob, dmap, validate=False)
-
-    analytic = vjp_depth_readout(prob, dmap, upstream)
-    return analytic, _fd_gradient(scalar, [prob, dmap], eps), ["prob", "depth"]
-
-
-_CASES = {
-    "decode_latent": _case_decode_latent,
-    "spatial_softmax": _case_spatial_softmax,
-    "softargmax": _case_softargmax,
-    "depth_readout": _case_depth_readout,
+# target -> (inputs: the seeded (latent, depth, beta) problem -> {name: array},
+#            upstream: shape of the output cotangent,
+#            forward(*inputs) -> output,
+#            vjp(upstream, *inputs) -> one cotangent per input).
+# Library functions are looked up when called, not captured here, so a
+# replaced module attribute is what gets checked.
+_TABLE = {
+    "spatial_softmax": (
+        lambda latent, depth, beta: {"latent": latent, "beta": beta},
+        (_K, _H, _W),
+        lambda latent, beta: spatial_softmax(latent, SpreadParams(beta=beta)),
+        lambda g, latent, beta: vjp_spatial_softmax(latent, SpreadParams(beta=beta), g),
+    ),
+    "softargmax": (
+        lambda latent, depth, beta: {"prob": _first_prob(latent, beta)},
+        (2,),
+        lambda prob: softargmax(prob, validate=False),
+        lambda g, prob: (vjp_softargmax(prob, g),),
+    ),
+    "depth_readout": (
+        lambda latent, depth, beta: {"prob": _first_prob(latent, beta), "depth": depth[0]},
+        (),
+        lambda prob, dmap: depth_readout(prob, dmap, validate=False),
+        lambda g, prob, dmap: vjp_depth_readout(prob, dmap, g),
+    ),
+    "decode_latent": (
+        lambda latent, depth, beta: {"likelihood": latent, "depth": depth, "beta": beta},
+        (_K, 3),
+        _decode_xyz,
+        lambda g, like, depth, beta: vjp_decode_latent(
+            HeatmapStack(kind="latent", likelihood=like, depth=depth), SpreadParams(beta=beta), g
+        ),
+    ),
 }
 
 
@@ -170,30 +155,34 @@ def gradcheck(
 ) -> GradcheckReport:
     """Compare the analytic VJP of `target` against central differences on
     `seeds` random problems."""
-    if target not in _CASES:
+    if target not in _TABLE:
         raise UnknownTargetError(f"no gradcheck target {target!r}; choose from {TARGETS}")
-    case = _CASES[target]
+    if not (isinstance(seeds, numbers.Integral) and seeds >= 1):
+        raise ConfigError(f"seeds must be an integer >= 1, got {seeds!r}")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    inputs_of, upstream_shape, forward, vjp = _TABLE[target]
     max_err = 0.0
     worst = None
     per_input: dict[str, float] = {}
     for seed in range(seeds):
-        analytic, fd, names = case(seed, eps)
-        for name, a, f in zip(names, analytic, fd):
-            err = _rel_err(np.asarray(a), np.asarray(f))
+        rng = np.random.default_rng(seed)
+        latent = rng.uniform(-1.0, 1.0, (_K, _H, _W))
+        depth = rng.uniform(-1.0, 1.0, (_K, _H, _W))
+        beta = rng.uniform(0.5, 2.0, _K)
+        inputs = inputs_of(latent, depth, beta)
+        upstream = rng.normal(size=upstream_shape)
+        arrays = list(inputs.values())
+        analytic = vjp(upstream, *arrays)
+        fd = _fd_gradient(lambda: float((upstream * forward(*arrays)).sum()), arrays, eps)
+        for name, a, f in zip(inputs, analytic, fd):
+            err = _rel_err(np.asarray(a), f)
             local = float(err.max())
             per_input[name] = max(per_input.get(name, 0.0), local)
             if local > max_err:
                 max_err = local
                 worst = (seed, name, int(err.argmax()))
-    breakdown = eps < FD_BREAKDOWN_EPS
-    status = "warning" if (breakdown and max_err > tol) else ("ok" if max_err <= tol else "fail")
-    return GradcheckReport(
-        target=target,
-        seeds=seeds,
-        eps=eps,
-        tol=tol,
-        max_rel_err=max_err,
-        worst=worst,
-        per_input_max=per_input,
-        status=status,
-    )
+    breakdown = eps < FD_BREAKDOWN_EPS and math.isfinite(max_err)
+    status = "ok" if max_err <= tol else ("warning" if breakdown else "fail")
+    return GradcheckReport(target, seeds, eps, tol, max_err, worst, per_input, status)

@@ -44,10 +44,11 @@ class HeatmapGrid:
         if self.width < 2 or self.height < 2:
             raise ConfigError("grid must be at least 2x2")
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xx, yy) coordinate arrays of shape (height, width)."""
-        return np.meshgrid(np.arange(self.width, dtype=np.float64),
-                           np.arange(self.height, dtype=np.float64))
+
+def _pixel_axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel x as a (W,) row and y as an (H, 1) column; together they
+    broadcast to the (H, W) lattice."""
+    return np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)[:, None]
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class HeatmapStack:
             )
         if self.kind not in ("direct", "latent"):
             raise ConfigError(f"unknown heatmap kind {self.kind!r}")
-        if not (np.all(np.isfinite(like)) and np.all(np.isfinite(depth))):
+        if not (np.isfinite(like).all() and np.isfinite(depth).all()):
             raise NonFiniteError("heatmaps must be finite")
         if self.kind == "direct" and (like.min() < 0.0 or like.max() > 1.0):
             raise ConfigError("direct likelihood values must lie in [0, 1]")
@@ -93,7 +94,7 @@ class SpreadParams:
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.ndim != 1:
             raise ShapeMismatchError("beta must be a flat per-keypoint array")
-        if not np.all(np.isfinite(beta)) or np.any(beta <= 0):
+        if not np.isfinite(beta).all() or (beta <= 0).any():
             raise ConfigError("every beta must be positive and finite")
         object.__setattr__(self, "beta", beta)
 
@@ -120,7 +121,7 @@ def encode_direct(
         raise ConfigError("sigma must be positive")
     if exponent not in ("l2sq", "l1"):
         raise ConfigError(f"unknown exponent {exponent!r}")
-    xx, yy = grid.mesh()
+    xs, ys = _pixel_axes(grid.height, grid.width)
     k = p25.num_keypoints
     like = np.zeros((k, grid.height, grid.width))
     depth = np.zeros_like(like)
@@ -134,7 +135,7 @@ def encode_direct(
                 raise OutOfGridError(f"keypoint {i} at ({x:g}, {y:g}) is outside the grid")
             x = min(max(x, 0.0), grid.width - 1.0)
             y = min(max(y, 0.0), grid.height - 1.0)
-        d2 = (xx - x) ** 2 + (yy - y) ** 2
+        d2 = (xs - x) ** 2 + (ys - y) ** 2
         arg = d2 if exponent == "l2sq" else np.sqrt(d2)
         like[i] = np.exp(-arg / (sigma * sigma))
         depth[i] = p25.zr[i] * like[i]
@@ -182,14 +183,18 @@ def _check_prob(prob: np.ndarray) -> np.ndarray:
     return prob
 
 
+def _expected_xy(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected pixel (x, y) under each (..., H, W) probability map."""
+    xs, ys = _pixel_axes(*prob.shape[-2:])
+    return prob.sum(axis=-2) @ xs, prob.sum(axis=-1) @ ys[:, 0]
+
+
 def softargmax(prob: np.ndarray, validate: bool = True) -> tuple[float, float]:
     """Probability-weighted mean pixel coordinate (x, y); lies inside the
     convex hull of the lattice, so sub-pixel positions come for free."""
     prob = _check_prob(prob) if validate else np.asarray(prob, dtype=np.float64)
-    h, w = prob.shape
-    x = float(prob.sum(axis=0) @ np.arange(w))
-    y = float(prob.sum(axis=1) @ np.arange(h))
-    return x, y
+    x, y = _expected_xy(prob)
+    return float(x), float(y)
 
 
 def depth_readout(prob: np.ndarray, latent_depth: np.ndarray, validate: bool = True) -> float:
@@ -207,11 +212,7 @@ def decode_latent(stack: HeatmapStack, spread: SpreadParams) -> Pose25D:
     if stack.kind != "latent":
         raise ConfigError("decode_latent expects a latent-kind stack")
     prob = spatial_softmax(stack.likelihood, spread)
-    k, h, w = prob.shape
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    x = prob.sum(axis=1) @ xs
-    y = prob.sum(axis=2) @ ys
+    x, y = _expected_xy(prob)
     zr = (prob * stack.depth).sum(axis=(1, 2))
     return Pose25D(xy=np.stack([x, y], axis=1), zr=zr)
 
@@ -223,14 +224,21 @@ def decode_latent(stack: HeatmapStack, spread: SpreadParams) -> Pose25D:
 # ---------------------------------------------------------------------------
 
 
+def _vjp_softmax(
+    prob: np.ndarray, latent: np.ndarray, spread: SpreadParams, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangents of (latent maps, beta) given prob = spatial_softmax(latent,
+    spread) and the cotangent `weight` of prob: ds = prob * (weight - E_prob[weight])."""
+    ds = prob * (weight - (prob * weight).sum(axis=(1, 2), keepdims=True))
+    return spread.beta[:, None, None] * ds, (ds * latent).sum(axis=(1, 2))
+
+
 def vjp_softargmax(prob: np.ndarray, upstream_xy: tuple[float, float]) -> np.ndarray:
     """Cotangent of the probability map. softargmax is linear in the map,
     so this is just gx * x(p) + gy * y(p)."""
-    prob = np.asarray(prob, dtype=np.float64)
-    h, w = prob.shape
+    xs, ys = _pixel_axes(*np.shape(prob))
     gx, gy = upstream_xy
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    return gx * xx + gy * yy
+    return gx * xs + gy * ys
 
 
 def vjp_depth_readout(
@@ -253,12 +261,7 @@ def vjp_spatial_softmax(
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != latent.shape:
         raise ShapeMismatchError("upstream cotangent must match the latent maps")
-    prob = spatial_softmax(latent, spread)
-    inner = (prob * upstream).sum(axis=(1, 2), keepdims=True)
-    ds = prob * (upstream - inner)
-    cot_latent = spread.beta[:, None, None] * ds
-    cot_beta = (ds * latent).sum(axis=(1, 2))
-    return cot_latent, cot_beta
+    return _vjp_softmax(spatial_softmax(latent, spread), latent, spread, upstream)
 
 
 def vjp_decode_latent(
@@ -276,15 +279,9 @@ def vjp_decode_latent(
     if upstream.shape != (k, 3):
         raise ShapeMismatchError(f"upstream must be ({k}, 3), got {upstream.shape}")
     prob = spatial_softmax(stack.likelihood, spread)
-    xx, yy = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    gx = upstream[:, 0][:, None, None]
-    gy = upstream[:, 1][:, None, None]
-    gz = upstream[:, 2][:, None, None]
+    xs, ys = _pixel_axes(h, w)
+    gx, gy, gz = upstream.T[:, :, None, None]
     # w(p): how much moving probability mass onto pixel p changes the output
-    weight = gx * xx + gy * yy + gz * stack.depth
-    mean_weight = (prob * weight).sum(axis=(1, 2), keepdims=True)
-    ds = prob * (weight - mean_weight)
-    cot_likelihood = spread.beta[:, None, None] * ds
-    cot_depth = gz * prob
-    cot_beta = (ds * stack.likelihood).sum(axis=(1, 2))
-    return cot_likelihood, cot_depth, cot_beta
+    weight = gx * xs + gy * ys + gz * stack.depth
+    cot_likelihood, cot_beta = _vjp_softmax(prob, stack.likelihood, spread, weight)
+    return cot_likelihood, gz * prob, cot_beta

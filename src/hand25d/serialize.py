@@ -134,6 +134,9 @@ def record_from_dict(obj: dict) -> PoseRecord:
     if not isinstance(kps, list) or not kps:
         raise DataFormatError("record has no keypoints array")
     k = len(kps)
+    expected = canonical_skeleton().num_keypoints
+    if k != expected:
+        raise DataFormatError(f"record has {k} keypoints, expected {expected}")
     if not all(isinstance(e, dict) and isinstance(e.get("id"), int) for e in kps):
         raise DataFormatError("every keypoint entry needs an integer id")
     if sorted(e["id"] for e in kps) != list(range(k)):
@@ -186,17 +189,7 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_dict(_loads(line)))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return list(iter_pose_records(path))
 
 
 def iter_pose_records(path: str | Path) -> Iterator[PoseRecord]:
@@ -358,6 +351,8 @@ def read_h25d(path: str | Path) -> HeatmapStack:
         raise DataFormatError(f"unsupported H25D version {version}")
     if kind_idx >= len(_KINDS):
         raise DataFormatError(f"unknown heatmap kind byte {kind_idx}")
+    if 0 in (k, h, w):
+        raise DataFormatError(f"empty heatmap stack: K={k}, H={h}, W={w}")
     count = k * h * w
     expected = _H25D_HEADER.size + 2 * count * 4
     if len(raw) != expected:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestGradcheckCommand:
     def test_fd_breakdown_warns_but_passes(self, capsys):
         assert main(["gradcheck", "--op", "softargmax", "--seeds", "2", "--eps", "1e-12"]) == 0
 
+    @pytest.mark.parametrize(
+        "flag", [["--eps", "0"], ["--eps", "nan"], ["--seeds", "0"], ["--seeds", "-3"]]
+    )
+    def test_bad_argument_is_3(self, flag, capsys):
+        assert main(["gradcheck", "--op", "softargmax", *flag]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -242,6 +250,22 @@ class TestExitCodes:
         assert (
             main(["normalize", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 3
         )
+
+    @pytest.mark.parametrize("khw", [(0, 4, 4), (2, 0, 4), (2, 4, 0)])
+    def test_empty_h25d_stack_is_3(self, tmp_path, khw, capsys):
+        maps = tmp_path / "empty.h25d"
+        maps.write_bytes(struct.pack("<4sIIIIB3x", b"H25D", 1, *khw, 1))
+        assert main(["decode", "--in", str(maps), "--out", str(tmp_path / "o.jsonl")]) == 3
+        assert "empty heatmap stack" in capsys.readouterr().err
+
+    def test_wrong_keypoint_count_is_3(self, tmp_path, capsys):
+        kps = ",".join(
+            f'{{"id":{i},"name":"k{i}","valid":true,"xyz_mm":[{i}.0,1.0,400.0]}}' for i in range(3)
+        )
+        bad = tmp_path / "three.jsonl"
+        bad.write_text(f'{{"schema_version":1,"side":"right","keypoints":[{kps}]}}\n')
+        assert main(["normalize", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 3
+        assert "3 keypoints, expected 21" in capsys.readouterr().err
 
     def test_strict_reconstruct_numerical_failure_is_4(self, workdir, capsys):
         records = serialize.read_pose_records(workdir / "gt.jsonl")[:2]

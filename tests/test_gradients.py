@@ -3,10 +3,12 @@
 The gradcheck driver owns the finite-difference oracle; the closed-form
 spot checks below are derived independently by hand.
 """
+import importlib
+
 import numpy as np
 import pytest
 
-from hand25d.errors import ShapeMismatchError, UnknownTargetError
+from hand25d.errors import ConfigError, ShapeMismatchError, UnknownTargetError
 from hand25d.gradcheck import gradcheck
 from hand25d.heatmap import (
     HeatmapStack,
@@ -17,6 +19,9 @@ from hand25d.heatmap import (
     vjp_softargmax,
     vjp_spatial_softmax,
 )
+
+# the package re-exports the gradcheck function under the module's name
+gradcheck_module = importlib.import_module("hand25d.gradcheck")
 
 
 class TestGradcheckDriver:
@@ -44,6 +49,54 @@ class TestGradcheckDriver:
         report = gradcheck("softargmax", seeds=3)
         text = "\n".join(report.lines())
         assert "OK" in text and "softargmax" in text
+
+
+class TestGradcheckCanFail:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12])
+    def test_nan_vjp_fails_at_any_step(self, monkeypatch, eps):
+        def nan_vjp(latent, spread, upstream):
+            return np.full_like(latent, np.nan), np.full_like(spread.beta, np.nan)
+
+        monkeypatch.setattr(gradcheck_module, "vjp_spatial_softmax", nan_vjp)
+        report = gradcheck("spatial_softmax", seeds=1, eps=eps)
+        assert report.status == "fail"
+        assert report.max_rel_err == np.inf
+        assert "FAIL" in report.lines()[0]
+
+    def test_nan_forward_fails(self, monkeypatch):
+        monkeypatch.setattr(gradcheck_module, "depth_readout", lambda *args, **kw: np.nan)
+        report = gradcheck("depth_readout", seeds=1)
+        assert report.status == "fail"
+        assert report.per_input_max == {"prob": np.inf, "depth": np.inf}
+
+    def test_one_percent_vjp_error_fails(self, monkeypatch):
+        exact = gradcheck_module.vjp_depth_readout
+
+        def scaled_vjp(*args):
+            return tuple(1.01 * cot for cot in exact(*args))
+
+        monkeypatch.setattr(gradcheck_module, "vjp_depth_readout", scaled_vjp)
+        report = gradcheck("depth_readout", seeds=2)
+        assert report.status == "fail"
+        assert report.max_rel_err == pytest.approx(0.01 / 1.01, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seeds", 0),
+            ("seeds", -3),
+            ("seeds", 2.5),
+            ("eps", 0.0),
+            ("eps", -1e-4),
+            ("eps", float("nan")),
+            ("eps", float("inf")),
+            ("tol", 0.0),
+            ("tol", float("nan")),
+        ],
+    )
+    def test_bad_arguments_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            gradcheck("softargmax", **{name: value})
 
 
 class TestVjpDecodeLatent:

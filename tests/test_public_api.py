@@ -1,0 +1,27 @@
+"""The public API's annotations resolve, so typing.get_type_hints works
+on every exported name and on the methods of exported classes."""
+import inspect
+import typing
+
+import pytest
+
+import hand25d
+
+
+def _annotated():
+    for name in hand25d.__all__:
+        obj = getattr(hand25d, name)
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("obj", [pytest.param(obj, id=label) for label, obj in _annotated()])
+def test_type_hints_resolve(obj):
+    typing.get_type_hints(obj)
