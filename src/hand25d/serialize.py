@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,14 +48,18 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+_NUMBER = {int, float}  # the types json.loads gives a number; bool is not one
+# Pose-record views: key (= PoseRecord field), values per keypoint (0: scalar), error text
+_VIEWS = (("px", 2, "[x, y]"), ("xyz_mm", 3, "[X, Y, Z]"), ("zr_norm", 0, "a number"))
+
+
 def _finite(value, what: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{what} is not a number: {value!r}") from exc
-    if not np.isfinite(out):
-        raise DataFormatError(f"{what} must be finite, got {out}")
-    return out
+    if type(value) not in _NUMBER:
+        raise DataFormatError(f"{what} is not a number: {value!r}")
+    # exact int/float comparison: rejects inf, NaN and ints beyond the float range
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise DataFormatError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -73,12 +78,10 @@ class PoseRecord:
     def __post_init__(self):
         self.valid = np.asarray(self.valid, dtype=bool)
         k = self.valid.shape[0]
-        if self.px is not None:
-            self.px = np.asarray(self.px, dtype=np.float64).reshape(k, 2)
-        if self.xyz_mm is not None:
-            self.xyz_mm = np.asarray(self.xyz_mm, dtype=np.float64).reshape(k, 3)
-        if self.zr_norm is not None:
-            self.zr_norm = np.asarray(self.zr_norm, dtype=np.float64).reshape(k)
+        for key, width, _ in _VIEWS:
+            if getattr(self, key) is not None:
+                arr = np.asarray(getattr(self, key), dtype=np.float64)
+                setattr(self, key, arr.reshape((k, width) if width else k))
         if self.side not in ("left", "right"):
             raise DataFormatError(f"side must be 'left' or 'right', got {self.side!r}")
 
@@ -106,16 +109,15 @@ def record_to_dict(rec: PoseRecord, skel: Skeleton | None = None) -> dict:
     skel = skel or canonical_skeleton()
     if rec.num_keypoints != skel.num_keypoints:
         raise DataFormatError("record keypoint count does not match the skeleton")
+    # .tolist() yields Python floats, whose repr is that of float(arr[i, j])
+    views = [(key, getattr(rec, key).tolist()) for key, _, _ in _VIEWS
+             if getattr(rec, key) is not None]
     kps = []
-    for i in range(rec.num_keypoints):
-        entry: dict = {"id": i, "name": skel.names[i], "valid": bool(rec.valid[i])}
-        if rec.valid[i]:
-            if rec.px is not None:
-                entry["px"] = [float(rec.px[i, 0]), float(rec.px[i, 1])]
-            if rec.xyz_mm is not None:
-                entry["xyz_mm"] = [float(v) for v in rec.xyz_mm[i]]
-            if rec.zr_norm is not None:
-                entry["zr_norm"] = float(rec.zr_norm[i])
+    for i, (name, ok) in enumerate(zip(skel.names, rec.valid.tolist())):
+        entry: dict = {"id": i, "name": name, "valid": ok}
+        if ok:
+            for key, values in views:
+                entry[key] = values[i]
         kps.append(entry)
     out: dict = {"schema_version": SCHEMA_VERSION, "side": rec.side, "keypoints": kps}
     if rec.camera is not None:
@@ -125,58 +127,61 @@ def record_to_dict(rec: PoseRecord, skel: Skeleton | None = None) -> dict:
     return out
 
 
+def _read_view(kps: list, valid: list, key: str, width: int, form: str) -> np.ndarray | None:
+    """One view of all keypoints as a (K, width) array, (K,) for width 0, or
+    None if no keypoint has it; an invalid keypoint without it reads as 0.0."""
+    if not any(key in e for e in kps):
+        return None
+    pad = [0.0] * max(width, 1)
+    flat: list = []
+    for i, entry in enumerate(kps):
+        value = entry.get(key, pad)
+        if value is pad and valid[i]:
+            raise DataFormatError(f"keypoint {i} is valid but lacks {key}")
+        if value is pad or (width and type(value) is list and len(value) == width):
+            flat += value
+        elif width:
+            raise DataFormatError(f"keypoint {i}: {key} must be {form}")
+        else:
+            flat.append(value)
+    try:
+        arr = np.array(flat, dtype=np.float64) if set(map(type, flat)) <= _NUMBER else None
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        for j, value in enumerate(flat):  # name the first bad value
+            _finite(value, f"keypoint {j // len(pad)} {key}")
+    return arr.reshape((len(kps), width) if width else len(kps))
+
+
 def record_from_dict(obj: dict) -> PoseRecord:
     if not isinstance(obj, dict):
         raise DataFormatError("pose record must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise DataFormatError(f"unsupported schema_version {version!r}")
     kps = obj.get("keypoints")
     if not isinstance(kps, list) or not kps:
         raise DataFormatError("record has no keypoints array")
-    k = len(kps)
     expected = canonical_skeleton().num_keypoints
-    if k != expected:
-        raise DataFormatError(f"record has {k} keypoints, expected {expected}")
-    if not all(isinstance(e, dict) and isinstance(e.get("id"), int) for e in kps):
+    if len(kps) != expected:
+        raise DataFormatError(f"record has {len(kps)} keypoints, expected {expected}")
+    if not all(isinstance(e, dict) and type(e.get("id")) is int for e in kps):
         raise DataFormatError("every keypoint entry needs an integer id")
-    if sorted(e["id"] for e in kps) != list(range(k)):
-        raise DataFormatError("keypoint ids must be 0..K-1, each exactly once")
-    by_id = sorted(kps, key=lambda e: e["id"])
-    valid = np.zeros(k, dtype=bool)
-    has_px = any("px" in e for e in by_id)
-    has_xyz = any("xyz_mm" in e for e in by_id)
-    has_zr = any("zr_norm" in e for e in by_id)
-    px = np.zeros((k, 2)) if has_px else None
-    xyz = np.zeros((k, 3)) if has_xyz else None
-    zr = np.zeros(k) if has_zr else None
-    for i, entry in enumerate(by_id):
-        valid[i] = bool(entry.get("valid", False))
-        if "px" in entry:
-            vals = entry["px"]
-            if not (isinstance(vals, list) and len(vals) == 2):
-                raise DataFormatError(f"keypoint {i}: px must be [x, y]")
-            px[i] = [_finite(v, f"keypoint {i} px") for v in vals]
-        elif valid[i] and has_px:
-            raise DataFormatError(f"keypoint {i} is valid but lacks px")
-        if "xyz_mm" in entry:
-            vals = entry["xyz_mm"]
-            if not (isinstance(vals, list) and len(vals) == 3):
-                raise DataFormatError(f"keypoint {i}: xyz_mm must be [X, Y, Z]")
-            xyz[i] = [_finite(v, f"keypoint {i} xyz_mm") for v in vals]
-        elif valid[i] and has_xyz:
-            raise DataFormatError(f"keypoint {i} is valid but lacks xyz_mm")
-        if "zr_norm" in entry:
-            zr[i] = _finite(entry["zr_norm"], f"keypoint {i} zr_norm")
-        elif valid[i] and has_zr:
-            raise DataFormatError(f"keypoint {i} is valid but lacks zr_norm")
-    camera = camera_from_dict(obj["camera"]) if "camera" in obj else None
+    ids = [e["id"] for e in kps]
+    if ids != list(range(expected)):  # files this library writes are in id order
+        if sorted(ids) != list(range(expected)):
+            raise DataFormatError("keypoint ids must be 0..K-1, each exactly once")
+        kps = sorted(kps, key=lambda e: e["id"])
+    valid = [e.get("valid", False) for e in kps]
+    for i, flag in enumerate(valid):
+        if type(flag) is not bool:
+            raise DataFormatError(f"keypoint {i}: valid must be true or false, got {flag!r}")
     return PoseRecord(
-        valid=valid,
-        px=px,
-        xyz_mm=xyz,
-        zr_norm=zr,
+        valid=np.array(valid, dtype=bool),
+        **{key: _read_view(kps, valid, key, width, form) for key, width, form in _VIEWS},
         side=obj.get("side", "right"),
-        camera=camera,
+        camera=camera_from_dict(obj["camera"]) if "camera" in obj else None,
         meta=obj.get("meta"),
     )
 
@@ -184,8 +189,7 @@ def record_from_dict(obj: dict) -> PoseRecord:
 def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(_dumps(record_to_dict(rec)))
-            fh.write("\n")
+            fh.write(_dumps(record_to_dict(rec)) + "\n")
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:
@@ -247,13 +251,8 @@ def camera_from_dict(obj: dict) -> CameraIntrinsics:
     if not isinstance(obj, dict):
         raise DataFormatError("camera must be a JSON object")
     try:
-        return CameraIntrinsics(
-            fx=_finite(obj["fx"], "fx"),
-            fy=_finite(obj["fy"], "fy"),
-            cx=_finite(obj["cx"], "cx"),
-            cy=_finite(obj["cy"], "cy"),
-            skew=_finite(obj.get("skew", 0.0), "skew"),
-        )
+        fields = {name: _finite(obj[name], name) for name in ("fx", "fy", "cx", "cy")}
+        return CameraIntrinsics(**fields, skew=_finite(obj.get("skew", 0.0), "skew"))
     except KeyError as exc:
         raise DataFormatError(f"camera JSON missing field {exc}") from exc
     except ConfigError as exc:

@@ -27,7 +27,7 @@ class Skeleton:
     """Kinematic tree over the hand keypoints.
 
     parent[k] is the parent joint of k; the root is self-parented.
-    bones lists (child, parent) edges, indexed by bone id.
+    bones lists the (child, parent) edges in child order: bone id = child - 1.
     """
 
     num_keypoints: int
@@ -41,8 +41,8 @@ class Skeleton:
         roots = [k for k, p in enumerate(self.parent) if p == k]
         if roots != [ROOT_INDEX]:
             raise ShapeMismatchError(f"expected exactly keypoint {ROOT_INDEX} self-parented, got {roots}")
-        if len(self.bones) != self.num_keypoints - 1:
-            raise ShapeMismatchError("a tree over K nodes has K-1 bones")
+        if self.bones != tuple((c, self.parent[c]) for c in range(1, self.num_keypoints)):
+            raise ShapeMismatchError("bones must list (k, parent[k]) in order k = 1..K-1")
         # every node must reach the root by following parents (no cycles)
         for k in range(self.num_keypoints):
             seen = set()
@@ -57,10 +57,9 @@ class Skeleton:
         return self.names.index(name)
 
     def bone_id(self, child: int) -> int:
-        for i, (c, _) in enumerate(self.bones):
-            if c == child:
-                return i
-        raise KeyError(f"keypoint {child} is not the child of any bone")
+        if not 1 <= child < self.num_keypoints:
+            raise KeyError(f"keypoint {child} is not the child of any bone")
+        return child - 1
 
     def is_edge(self, child: int, parent: int) -> bool:
         return 0 <= child < self.num_keypoints and self.parent[child] == parent and child != parent

@@ -267,6 +267,15 @@ class TestExitCodes:
         assert main(["normalize", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 3
         assert "3 keypoints, expected 21" in capsys.readouterr().err
 
+    def test_non_bool_valid_is_3(self, workdir, capsys):
+        line = (workdir / "gt.jsonl").read_text().splitlines()[0]
+        obj = json.loads(line)
+        obj["keypoints"][7]["valid"] = "false"
+        bad = workdir / "stringly.jsonl"
+        bad.write_text(json.dumps(obj) + "\n")
+        assert main(["normalize", "--in", str(bad), "--out", str(workdir / "o.jsonl")]) == 3
+        assert "stringly.jsonl:1: keypoint 7: valid must be true or false" in capsys.readouterr().err
+
     def test_strict_reconstruct_numerical_failure_is_4(self, workdir, capsys):
         records = serialize.read_pose_records(workdir / "gt.jsonl")[:2]
         degenerate = serialize.PoseRecord(

@@ -1,5 +1,13 @@
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hand25d import serialize
 from hand25d.camera import CameraIntrinsics, project
@@ -72,6 +80,136 @@ class TestPoseRecordJsonl:
         path.write_text('{"schema_version":9,"side":"right","keypoints":[]}\n')
         with pytest.raises(DataFormatError):
             serialize.read_pose_records(path)
+
+
+def record_json(seed=0):
+    """One synthetic record as json.loads gives it back from a file."""
+    return json.loads(json.dumps(serialize.record_to_dict(synth_records(1, seed=seed)[0])))
+
+
+def _set(path, value):
+    def mutate(obj):
+        *head, last = path
+        for step in head:
+            obj = obj[step]
+        obj[last] = value
+    return mutate
+
+
+class TestStrictJsonTypes:
+    """JSON types are checked, never coerced: bool is not a number, a
+    string is not a bool or a number."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set(["keypoints", 3, "valid"], "false"), "keypoint 3: valid must be true or false"),
+        (_set(["keypoints", 3, "valid"], 1), "keypoint 3: valid must be true or false"),
+        (_set(["keypoints", 3, "px"], [True, 2.0]), "keypoint 3 px is not a number"),
+        (_set(["keypoints", 3, "px"], ["1.5", 2.0]), "keypoint 3 px is not a number"),
+        (_set(["keypoints", 3, "xyz_mm"], [1.0, None, 2.0]), "keypoint 3 xyz_mm is not a number"),
+        (_set(["keypoints", 3, "zr_norm"], False), "keypoint 3 zr_norm is not a number"),
+        (_set(["keypoints", 3, "zr_norm"], [0.5]), "keypoint 3 zr_norm is not a number"),
+        (_set(["keypoints", 3, "px"], None), "keypoint 3: px must be [x, y]"),
+        (_set(["keypoints", 3, "px"], [1.0]), "keypoint 3: px must be [x, y]"),
+        (_set(["keypoints", 3, "xyz_mm"], 10**400), "keypoint 3: xyz_mm must be [X, Y, Z]"),
+        (_set(["keypoints", 3, "xyz_mm"], [1.0, 10**400, 2.0]), "keypoint 3 xyz_mm must be finite"),
+        (_set(["keypoints", 3, "zr_norm"], float("inf")), "keypoint 3 zr_norm must be finite"),
+        (_set(["keypoints", 1, "id"], True), "integer id"),
+        (_set(["keypoints", 1, "id"], 1.0), "integer id"),
+        (_set(["schema_version"], True), "schema_version"),
+        (_set(["schema_version"], 1.0), "schema_version"),
+        (_set(["camera", "fx"], True), "fx is not a number"),
+        (_set(["camera", "fy"], "100"), "fy is not a number"),
+        (_set(["camera", "skew"], 10**400), "skew must be finite"),
+    ], ids=[
+        "valid-str", "valid-int", "px-bool", "px-str", "xyz-null", "zr-bool", "zr-list",
+        "px-null", "px-short", "xyz-scalar", "xyz-huge-int", "zr-inf", "id-bool", "id-float",
+        "version-bool", "version-float", "camera-fx-bool", "camera-fy-str", "camera-skew-huge",
+    ])
+    def test_rejected(self, mutate, message):
+        obj = record_json()
+        mutate(obj)
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            serialize.record_from_dict(obj)
+
+    def test_integer_coordinates_are_numbers(self):
+        obj = record_json()
+        obj["keypoints"][3]["px"] = [12, -7]
+        obj["keypoints"][3]["zr_norm"] = 0
+        obj["camera"]["fx"] = 150
+        rec = serialize.record_from_dict(obj)
+        assert rec.px[3].tolist() == [12.0, -7.0] and rec.px.dtype == np.float64
+        assert rec.zr_norm[3] == 0.0
+        assert rec.camera.fx == 150.0
+
+    def test_first_bad_keypoint_is_named(self):
+        obj = record_json()
+        obj["keypoints"][17]["px"] = [float("inf"), 0.0]
+        obj["keypoints"][5]["px"] = [0.0, float("-inf")]
+        with pytest.raises(DataFormatError, match="keypoint 5 px must be finite"):
+            serialize.record_from_dict(obj)
+
+
+_VIEW_WIDTHS = {"px": 2, "xyz_mm": 3, "zr_norm": 0}
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                sys.float_info.max, -sys.float_info.max]
+_coords = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def pose_records(draw):
+    k = canonical_skeleton().num_keypoints
+    views = {}
+    for key in draw(st.sets(st.sampled_from(sorted(_VIEW_WIDTHS)))):
+        width = _VIEW_WIDTHS[key]
+        values = draw(st.lists(_coords, min_size=k * max(width, 1), max_size=k * max(width, 1)))
+        views[key] = np.array(values).reshape((k, width) if width else k)
+    camera = draw(st.none() | st.builds(
+        CameraIntrinsics,
+        fx=st.floats(1e-3, 1e6), fy=st.floats(1e-3, 1e6),
+        cx=_coords, cy=_coords, skew=st.floats(-1e3, 1e3),
+    ))
+    meta = draw(st.none() | st.dictionaries(st.text(max_size=6), _json_scalars, max_size=4))
+    return serialize.PoseRecord(
+        valid=np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+        side=draw(st.sampled_from(["left", "right"])),
+        camera=camera,
+        meta=meta,
+        **views,
+    )
+
+
+def _bits(rec):
+    views = [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+             for a in (rec.valid, rec.px, rec.xyz_mm, rec.zr_norm)]
+    return views, rec.side, rec.camera, rec.meta
+
+
+class TestCodecProperties:
+    @settings(deadline=None)
+    @given(rec=pose_records(), order=st.permutations(range(21)))
+    def test_round_trip(self, rec, order):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
+            serialize.write_pose_records(first, [rec])
+            (back,) = serialize.read_pose_records(first)
+            serialize.write_pose_records(second, [back])
+            assert first.read_bytes() == second.read_bytes()
+            obj = json.loads(first.read_text(encoding="utf-8"))
+        np.testing.assert_array_equal(back.valid, rec.valid)
+        for key in _VIEW_WIDTHS:
+            sent, got = getattr(rec, key), getattr(back, key)
+            if sent is None or not rec.valid.any():
+                assert got is None  # a view no valid keypoint carries is not written
+                continue
+            assert got.dtype == np.float64 and got.shape == sent.shape
+            assert got[rec.valid].tobytes() == sent[rec.valid].tobytes()
+            assert got[~rec.valid].tobytes() == bytes(got[~rec.valid].nbytes)  # +0.0
+        assert (back.side, back.camera, back.meta) == (rec.side, rec.camera, rec.meta)
+        obj["keypoints"] = [obj["keypoints"][i] for i in order]
+        assert _bits(serialize.record_from_dict(obj)) == _bits(back)
 
 
 class TestSidecars:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hand25d.errors import BadFactorError, EmptyInputError, NonFiniteError
+from hand25d.errors import BadFactorError, EmptyInputError, NonFiniteError, ShapeMismatchError
 from hand25d.skeleton import (
     FINGERTIP_INDICES,
+    Skeleton,
     bone_lengths,
     canonical_skeleton,
     mean_bone_stats,
@@ -34,6 +35,25 @@ class TestCanonicalSkeleton:
         for bone_id, (child, parent) in enumerate(skel.bones):
             assert bone_id == child - 1
             assert parent == skel.parent[child]
+
+    def test_bone_id_of_every_child(self):
+        skel = canonical_skeleton()
+        for child in range(1, skel.num_keypoints):
+            assert skel.bone_id(child) == child - 1
+            assert skel.bones[skel.bone_id(child)][0] == child
+        for not_a_child in (0, -1, skel.num_keypoints):
+            with pytest.raises(KeyError):
+                skel.bone_id(not_a_child)
+
+    @pytest.mark.parametrize("bones", [
+        lambda b: b[1:] + b[:1],                # reordered: bone id != child - 1
+        lambda b: b[:-1],                       # one bone short
+        lambda b: b[:-1] + ((20, 0),),          # edge not in the parent map
+    ], ids=["reordered", "short", "foreign-edge"])
+    def test_bones_must_follow_child_order(self, bones):
+        skel = canonical_skeleton()
+        with pytest.raises(ShapeMismatchError):
+            Skeleton(skel.num_keypoints, skel.names, skel.parent, bones(skel.bones))
 
     def test_every_node_reaches_root_within_four_hops(self):
         skel = canonical_skeleton()
