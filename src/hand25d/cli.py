@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .camera import project
+from .camera import CameraIntrinsics, project
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -87,23 +87,25 @@ def _norm_config(args) -> NormalizationConfig:
     return NormalizationConfig(c=args.c, pair=_parse_pair(args.pair))
 
 
-def _ingest(records):
-    """Apply the left-to-right convention flip where possible."""
-    out = []
-    for rec in records:
-        if rec.side == "left" and rec.camera is not None:
-            rec = serialize.flip_record_to_right(rec)
-        out.append(rec)
-    return out
+def _records(path) -> list[serialize.PoseRecord]:
+    """All records of a file, left-hand ones that carry a camera mirrored to right-hand."""
+    records = list(serialize.iter_pose_records(path))  # a malformed line fails before any flip
+    return [rec if rec.camera is None else serialize.flip_record_to_right(rec) for rec in records]
+
+
+def _camera(
+    i: int, rec: serialize.PoseRecord, override: CameraIntrinsics | None
+) -> CameraIntrinsics:
+    cam = override or rec.camera
+    if cam is None:
+        raise DataFormatError(f"record {i}: no camera available; pass --camera")
+    return cam
 
 
 def _cmd_synth(args) -> int:
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     cfg = SynthConfig(seed=args.seed, bone_stats=stats)
-    records = []
-    for index in range(args.count):
-        _, _, record = gen_pose(cfg, index)
-        records.append(record)
+    records = [gen_pose(cfg, index)[2] for index in range(args.count)]
     serialize.write_pose_records(args.out, records)
     if args.camera_out:
         serialize.write_camera_json(args.camera_out, cfg.camera)
@@ -113,23 +115,12 @@ def _cmd_synth(args) -> int:
 def _cmd_normalize(args) -> int:
     cfg = _norm_config(args)
     override = serialize.read_camera_json(args.camera) if args.camera else None
-    records = _ingest(serialize.read_pose_records(args.infile))
     out = []
-    for i, rec in enumerate(records):
-        cam = override or rec.camera
-        if cam is None:
-            raise DataFormatError(f"record {i}: no camera available; pass --camera")
+    for i, rec in enumerate(_records(args.infile)):
+        cam = _camera(i, rec, override)
         p25 = to_25d(rec.pose3d(), cam, cfg)
-        out.append(
-            serialize.PoseRecord(
-                valid=rec.valid.copy(),
-                px=p25.xy.copy(),
-                zr_norm=p25.zr.copy(),
-                side=rec.side,
-                camera=cam,
-                meta=rec.meta,
-            )
-        )
+        out.append(serialize.PoseRecord(rec.valid, px=p25.xy, zr_norm=p25.zr, side=rec.side,
+                                        camera=cam, meta=rec.meta))
     serialize.write_pose_records(args.out, out)
     return 0
 
@@ -139,40 +130,24 @@ def _cmd_reconstruct(args) -> int:
     override = serialize.read_camera_json(args.camera) if args.camera else None
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     skel = canonical_skeleton()
-    records = _ingest(serialize.read_pose_records(args.infile))
+    records = _records(args.infile)
     out = []
     failures = 0
     for i, rec in enumerate(records):
-        cam = override or rec.camera
-        if cam is None:
-            raise DataFormatError(f"record {i}: no camera available; pass --camera")
+        cam = _camera(i, rec, override)
         try:
             pose = reconstruct_pose(rec.pose25d(), cam, cfg)
             if stats is not None:
                 # recover_scale returns mm per normalized unit; absolute_pose
                 # expects the metric pair-bone length, i.e. c times that
                 pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
+            valid, xyz = pose.valid, pose.xyz
         except NUMERICAL_ERRORS as exc:
             failures += 1
             print(f"record {i}: reconstruction failed: {exc}", file=sys.stderr)
-            out.append(
-                serialize.PoseRecord(
-                    valid=np.zeros(rec.num_keypoints, dtype=bool),
-                    side=rec.side,
-                    camera=cam,
-                    meta=rec.meta,
-                )
-            )
-            continue
-        out.append(
-            serialize.PoseRecord(
-                valid=pose.valid.copy(),
-                xyz_mm=pose.xyz.copy(),
-                side=rec.side,
-                camera=cam,
-                meta=rec.meta,
-            )
-        )
+            valid, xyz = np.zeros(rec.num_keypoints, dtype=bool), None
+        out.append(serialize.PoseRecord(valid, xyz_mm=xyz, side=rec.side, camera=cam,
+                                        meta=rec.meta))
     serialize.write_pose_records(args.out, out)
     if failures:
         print(f"{failures}/{len(records)} records failed to reconstruct", file=sys.stderr)
@@ -182,7 +157,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    records = _ingest(serialize.read_pose_records(args.infile))
+    records = _records(args.infile)
     if not records:
         raise DataFormatError("no records to encode")
     if not 0 <= args.index < len(records):
@@ -232,17 +207,15 @@ def _cmd_decode(args) -> int:
             )
         p25 = decode_latent(stack, SpreadParams(beta=beta))
     record = serialize.PoseRecord(
-        valid=np.ones(p25.num_keypoints, dtype=bool),
-        px=p25.xy.copy(),
-        zr_norm=p25.zr.copy(),
+        valid=np.ones(p25.num_keypoints, dtype=bool), px=p25.xy, zr_norm=p25.zr
     )
     serialize.write_pose_records(args.out, [record])
     return 0
 
 
 def _cmd_eval(args) -> int:
-    preds = _ingest(serialize.read_pose_records(args.pred))
-    gts = _ingest(serialize.read_pose_records(args.gt))
+    preds = _records(args.pred)
+    gts = _records(args.gt)
     if len(preds) != len(gts):
         raise DataFormatError(f"{len(preds)} predictions vs {len(gts)} ground-truth records")
     pred_pts, gt_pts, masks = [], [], []
@@ -286,9 +259,8 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_shorten_tips(args) -> int:
     skel = canonical_skeleton()
     cfg = _norm_config(args)
-    records = _ingest(serialize.read_pose_records(args.infile))
     out = []
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(_records(args.infile)):
         if rec.xyz_mm is None:
             raise DataFormatError(f"record {i}: shorten-tips needs xyz_mm")
         pose = shorten_fingertips(rec.pose3d(), args.factor, skel)
@@ -304,17 +276,8 @@ def _cmd_shorten_tips(args) -> int:
                 f"record {i}: no camera; px/zr_norm left unchanged and may now be inconsistent",
                 file=sys.stderr,
             )
-        out.append(
-            serialize.PoseRecord(
-                valid=rec.valid.copy(),
-                px=px,
-                xyz_mm=pose.xyz.copy(),
-                zr_norm=zr,
-                side=rec.side,
-                camera=rec.camera,
-                meta=rec.meta,
-            )
-        )
+        out.append(serialize.PoseRecord(rec.valid, px=px, xyz_mm=pose.xyz, zr_norm=zr,
+                                        side=rec.side, camera=rec.camera, meta=rec.meta))
     serialize.write_pose_records(args.out, out)
     return 0
 
@@ -408,16 +371,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except Hand25DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (Hand25DError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -117,8 +117,8 @@ def encode_direct(
     experiments with sharper, non-Gaussian targets. Invalid keypoints get
     all-zero maps.
     """
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if exponent not in ("l2sq", "l1"):
         raise ConfigError(f"unknown exponent {exponent!r}")
     xs, ys = _pixel_axes(grid.height, grid.width)

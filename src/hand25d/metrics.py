@@ -75,6 +75,8 @@ def pck_curve(errors: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     thr = np.asarray(thresholds, dtype=np.float64)
     if thr.size == 0:
         raise EmptyThresholdsError("at least one threshold required")
+    if not np.isfinite(thr).all():
+        raise ConfigError("thresholds must be finite")
     if thr.size > 1 and np.any(np.diff(thr) <= 0):
         raise ConfigError("thresholds must be strictly increasing")
     errors = np.asarray(errors, dtype=np.float64)
@@ -133,6 +135,8 @@ def evaluate(
         raise ConfigError(f"unknown space {space!r}")
     if len(pred_points) != len(gt_points):
         raise ShapeMismatchError("prediction and ground-truth corpora differ in length")
+    if len(valid_masks) != len(pred_points):
+        raise ShapeMismatchError("valid masks and the corpora differ in length")
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS_3D_MM if space == "3d" else DEFAULT_THRESHOLDS_2D_PX
     pooled: list[np.ndarray] = []

@@ -62,6 +62,12 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise DataFormatError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 @dataclass
 class PoseRecord:
     """One sample: whichever of pixel / metric / normalized-depth views
@@ -163,7 +169,8 @@ def record_from_dict(obj: dict) -> PoseRecord:
     kps = obj.get("keypoints")
     if not isinstance(kps, list) or not kps:
         raise DataFormatError("record has no keypoints array")
-    expected = canonical_skeleton().num_keypoints
+    skel = canonical_skeleton()
+    expected = skel.num_keypoints
     if len(kps) != expected:
         raise DataFormatError(f"record has {len(kps)} keypoints, expected {expected}")
     if not all(isinstance(e, dict) and type(e.get("id")) is int for e in kps):
@@ -177,9 +184,13 @@ def record_from_dict(obj: dict) -> PoseRecord:
     for i, flag in enumerate(valid):
         if type(flag) is not bool:
             raise DataFormatError(f"keypoint {i}: valid must be true or false, got {flag!r}")
+    views = {key: _read_view(kps, valid, key, width, form) for key, width, form in _VIEWS}
+    for i, (entry, name) in enumerate(zip(kps, skel.names)):
+        if entry.get("name", name) != name:
+            raise DataFormatError(f"keypoint {i}: name {entry['name']!r}, expected {name!r}")
     return PoseRecord(
         valid=np.array(valid, dtype=bool),
-        **{key: _read_view(kps, valid, key, width, form) for key, width, form in _VIEWS},
+        **views,
         side=obj.get("side", "right"),
         camera=camera_from_dict(obj["camera"]) if "camera" in obj else None,
         meta=obj.get("meta"),
@@ -277,11 +288,14 @@ def write_bone_stats_json(path: str | Path, stats: BoneStats) -> None:
 
 def read_bone_stats_json(path: str | Path) -> BoneStats:
     obj = _loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict) or "mean_length_mm" not in obj:
-        raise DataFormatError("bone stats JSON must carry mean_length_mm")
+    if not isinstance(obj, dict) or not isinstance(obj.get("mean_length_mm"), list):
+        raise DataFormatError("bone stats JSON must carry a mean_length_mm array")
     values = [_finite(v, "bone length") for v in obj["mean_length_mm"]]
     if any(v <= 0 for v in values):
         raise DataFormatError("bone lengths must be positive")
+    expected = canonical_skeleton().num_keypoints - 1
+    if len(values) != expected:
+        raise DataFormatError(f"bone stats have {len(values)} lengths, expected {expected}")
     return BoneStats(mean_length=np.array(values))
 
 
@@ -303,10 +317,10 @@ def read_skeleton_json(path: str | Path) -> Skeleton:
     obj = _loads(Path(path).read_text(encoding="utf-8"))
     try:
         return Skeleton(
-            num_keypoints=int(obj["num_keypoints"]),
+            num_keypoints=_int(obj["num_keypoints"], "num_keypoints"),
             names=tuple(obj["names"]),
-            parent=tuple(int(p) for p in obj["parent"]),
-            bones=tuple((int(c), int(p)) for c, p in obj["bones"]),
+            parent=tuple(_int(p, "parent") for p in obj["parent"]),
+            bones=tuple((_int(c, "bone child"), _int(p, "bone parent")) for c, p in obj["bones"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid skeleton JSON: {exc}") from exc
@@ -400,8 +414,8 @@ def read_report_json(path: str | Path) -> EvalReport:
             epe_median=_finite(obj["epe_median"], "epe_median"),
             pck=tuple((_finite(t, "threshold"), _finite(f, "fraction")) for t, f in obj["pck"]),
             auc=_finite(obj["auc"], "auc"),
-            num_samples=int(obj.get("num_samples", 0)),
-            num_failed=int(obj.get("num_failed", 0)),
+            num_samples=_int(obj.get("num_samples", 0), "num_samples"),
+            num_failed=_int(obj.get("num_failed", 0), "num_failed"),
             meta=obj.get("meta", {}) or {},
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -63,6 +63,9 @@ class SynthConfig:
         zmin, zmax = self.depth_range
         if not (0 < zmin < zmax):
             raise ConfigError("depth range must satisfy 0 < zmin < zmax")
+        bones = canonical_skeleton().num_keypoints - 1
+        if self.bone_stats is not None and self.bone_stats.mean_length.shape[0] != bones:
+            raise ConfigError(f"bone_stats must give {bones} lengths")
         if not 0 <= self.bone_jitter < 1:
             raise ConfigError("bone jitter must be in [0, 1)")
         for lo, hi in (

@@ -114,6 +114,36 @@ class TestPipeline:
         assert len(lines) == 32
         assert lines[1].split(",") == ["20.0", "1.0"]
 
+    def test_left_hand_corpus_round_trip(self, workdir):
+        """Left-hand records that carry a camera are mirrored to the
+        right-hand convention by every stage, so a corpus whose every other
+        record is left-handed still reconstructs exactly."""
+        from hand25d.camera import project
+        from hand25d.types import Pose3D
+
+        mixed = []
+        for i, rec in enumerate(serialize.read_pose_records(workdir / "gt.jsonl")):
+            if i % 2:
+                xyz = rec.xyz_mm * [-1.0, 1.0, 1.0]
+                px = project(Pose3D(xyz=xyz, valid=rec.valid), rec.camera)[0].xy
+                rec = serialize.PoseRecord(valid=rec.valid, px=px, xyz_mm=xyz, zr_norm=rec.zr_norm,
+                                           side="left", camera=rec.camera, meta=rec.meta)
+            mixed.append(rec)
+        serialize.write_pose_records(workdir / "mixed.jsonl", mixed)
+        steps = [
+            ["normalize", "--in", str(workdir / "mixed.jsonl"), "--out", str(workdir / "n.jsonl")],
+            ["reconstruct", "--in", str(workdir / "n.jsonl"), "--bone-stats",
+             str(workdir / "stats.json"), "--out", str(workdir / "r.jsonl")],
+            ["eval", "--pred", str(workdir / "r.jsonl"), "--gt", str(workdir / "mixed.jsonl"),
+             "--protocol", "root_aligned", "--space", "3d", "--out", str(workdir / "rep.json")],
+        ]
+        for argv in steps:
+            assert main(argv) == 0
+        assert {rec.side for rec in serialize.read_pose_records(workdir / "r.jsonl")} == {"right"}
+        report = serialize.read_report_json(workdir / "rep.json")
+        assert report.auc == 1.0 and report.num_samples == 20
+        assert report.epe_mean < 1e-6
+
 
 class TestEncodeDecode:
     def test_direct_round_trip_bound(self, workdir):
@@ -321,6 +351,58 @@ class TestExitCodes:
             )
             == 3
         )
+
+    @pytest.mark.parametrize("stage", ["normalize", "reconstruct"])
+    def test_record_without_camera_is_3(self, workdir, stage, capsys):
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
+        records[2].camera = None
+        path = workdir / "nocam.jsonl"
+        serialize.write_pose_records(path, records)
+        out = workdir / "o.jsonl"
+        assert main([stage, "--in", str(path), "--out", str(out)]) == 3
+        assert "error: record 2: no camera available; pass --camera" in capsys.readouterr().err
+        assert not out.exists()
+        argv = [stage, "--in", str(path), "--camera", str(workdir / "cam.json"), "--out", str(out)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("grid", ["nan:50:31", "20:inf:31"])
+    def test_non_finite_thresholds_are_3(self, workdir, grid, capsys):
+        argv = ["eval", "--pred", str(workdir / "gt.jsonl"), "--gt", str(workdir / "gt.jsonl"),
+                "--protocol", "root_aligned", "--space", "3d", "--thresholds", grid,
+                "--out", str(workdir / "r.json")]
+        assert main(argv) == 3
+        assert "error: thresholds must be finite" in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
+
+    @pytest.mark.parametrize("count", [3, 21])
+    def test_bone_stats_of_wrong_count_is_3(self, workdir, count, capsys):
+        stats = workdir / "short_stats.json"
+        stats.write_text(json.dumps({"schema_version": 1, "mean_length_mm": [30.0] * count}))
+        assert main(["synth", "--count", "2", "--bone-stats", str(stats),
+                     "--out", str(workdir / "s.jsonl")]) == 3
+        assert main(["normalize", "--in", str(workdir / "gt.jsonl"),
+                     "--out", str(workdir / "n.jsonl")]) == 0
+        assert main(["reconstruct", "--in", str(workdir / "n.jsonl"), "--bone-stats", str(stats),
+                     "--out", str(workdir / "r.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"error: bone stats have {count} lengths, expected 20") == 2
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "0"])
+    def test_bad_sigma_is_3(self, workdir, sigma, capsys):
+        argv = ["encode", "--in", str(workdir / "gt.jsonl"), "--sigma", sigma,
+                "--out", str(workdir / "m.h25d")]
+        assert main(argv) == 3
+        assert "error: sigma must be finite and positive" in capsys.readouterr().err
+        assert not (workdir / "m.h25d").exists()
+
+    def test_foreign_keypoint_name_is_3(self, workdir, capsys):
+        obj = json.loads((workdir / "gt.jsonl").read_text().splitlines()[0])
+        obj["keypoints"][3]["name"] = "not_a_joint"
+        bad = workdir / "renamed.jsonl"
+        bad.write_text(json.dumps(obj) + "\n")
+        assert main(["normalize", "--in", str(bad), "--out", str(workdir / "o.jsonl")]) == 3
+        assert ("renamed.jsonl:1: keypoint 3: name 'not_a_joint', expected 'thumb_dip'"
+                in capsys.readouterr().err)
 
 
 class TestThousandPosePipeline:

@@ -68,6 +68,11 @@ class TestEncodeDirect:
         stack = encode_direct(pose, GRID, out_of_grid="clamp")
         assert stack.likelihood[0, 3, 31] == 1.0
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            encode_direct(pose_at([[7.0, 3.0]], [0.4]), GRID, sigma=sigma)
+
     def test_invalid_keypoints_zero_maps(self):
         pose = Pose25D(xy=[[5.0, 5.0], [6.0, 6.0]], zr=[0.1, 0.2], valid=[True, False])
         stack = encode_direct(pose, GRID)

@@ -7,6 +7,7 @@ from hand25d.errors import (
     EmptyThresholdsError,
     InvalidRootError,
     NoValidKeypointsError,
+    ShapeMismatchError,
     TooFewPointsError,
 )
 from hand25d.metrics import (
@@ -121,6 +122,13 @@ class TestPckCurve:
         with pytest.raises(ConfigError):
             pck_curve(np.array([1.0]), [2.0, 2.0])
 
+    @pytest.mark.parametrize("thresholds", [
+        [np.nan, 50.0], [20.0, np.inf], [20.0, np.nan], [np.nan], [-np.inf, 0.0],
+    ])
+    def test_non_finite_thresholds_rejected(self, thresholds):
+        with pytest.raises(ConfigError, match="finite"):
+            pck_curve(np.array([1.0]), thresholds)
+
 
 class TestAuc:
     def test_constant_one(self):
@@ -191,3 +199,8 @@ class TestEvaluate:
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "nearest", "3d")
+
+    def test_mask_count_must_match_corpus(self):
+        pts = [np.zeros((21, 3)), np.ones((21, 3))]
+        with pytest.raises(ShapeMismatchError, match="valid masks"):
+            evaluate(pts, pts, [None], "absolute_with_scale", "3d")

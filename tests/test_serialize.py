@@ -241,6 +241,19 @@ class TestSidecars:
         with pytest.raises(DataFormatError):
             serialize.read_bone_stats_json(path)
 
+    @pytest.mark.parametrize("lengths, message", [
+        ([30.0] * 3, "3 lengths, expected 20"),
+        ([30.0] * 21, "21 lengths, expected 20"),
+        ([], "0 lengths, expected 20"),
+        (30.0, "mean_length_mm array"),
+        ({"0": 30.0}, "mean_length_mm array"),
+    ], ids=["three", "twenty-one", "empty", "scalar", "object"])
+    def test_bone_stats_count_is_the_bone_count(self, tmp_path, lengths, message):
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps({"schema_version": 1, "mean_length_mm": lengths}))
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            serialize.read_bone_stats_json(path)
+
     def test_skeleton_round_trip(self, tmp_path):
         skel = canonical_skeleton()
         path = tmp_path / "skel.json"
@@ -365,3 +378,74 @@ class TestFlip:
         bare = serialize.PoseRecord(valid=rec.valid, px=rec.px, side="left")
         with pytest.raises(ConfigError):
             serialize.flip_record_to_right(bare)
+
+
+class TestKeypointNames:
+    def test_foreign_name_rejected(self):
+        obj = record_json()
+        obj["keypoints"][3]["name"] = "not_a_joint"
+        with pytest.raises(DataFormatError, match="keypoint 3: name 'not_a_joint', expected"):
+            serialize.record_from_dict(obj)
+
+    def test_non_string_name_rejected(self):
+        obj = record_json()
+        obj["keypoints"][0]["name"] = 0
+        with pytest.raises(DataFormatError, match="keypoint 0: name 0, expected 'palm'"):
+            serialize.record_from_dict(obj)
+
+    def test_names_checked_after_the_id_sort(self):
+        obj = record_json()
+        reference = serialize.record_from_dict(json.loads(json.dumps(obj)))
+        obj["keypoints"].reverse()
+        rec = serialize.record_from_dict(obj)
+        np.testing.assert_array_equal(rec.xyz_mm, reference.xyz_mm)
+        obj["keypoints"][0]["name"], obj["keypoints"][1]["name"] = (
+            obj["keypoints"][1]["name"], obj["keypoints"][0]["name"])
+        with pytest.raises(DataFormatError, match="keypoint 19: name"):
+            serialize.record_from_dict(obj)
+
+    def test_name_is_optional(self):
+        obj = record_json()
+        for entry in obj["keypoints"]:
+            del entry["name"]
+        rec = serialize.record_from_dict(obj)
+        assert serialize.record_to_dict(rec) == record_json()
+
+
+def _skeleton_json(**changes):
+    obj = serialize.skeleton_to_dict(canonical_skeleton())
+    obj.update(changes)
+    return obj
+
+
+def _report_json(**changes):
+    obj = serialize.report_to_dict(TestReportAndCurve().report())
+    obj.update(changes)
+    return obj
+
+
+class TestStrictSidecarInts:
+    """Sidecar integers must be JSON ints: never a float, a string or a bool."""
+
+    @pytest.mark.parametrize("reader, obj, message", [
+        ("skeleton", _skeleton_json(num_keypoints=21.9), "num_keypoints is not an integer: 21.9"),
+        ("skeleton", _skeleton_json(num_keypoints="21"), "num_keypoints is not an integer: '21'"),
+        ("skeleton", _skeleton_json(num_keypoints=True), "num_keypoints is not an integer: True"),
+        ("skeleton", _skeleton_json(parent=["0"] + list(canonical_skeleton().parent[1:])),
+         "parent is not an integer: '0'"),
+        ("skeleton", _skeleton_json(bones=[[1.0, 0]] + [list(b) for b in canonical_skeleton().bones[1:]]),
+         "bone child is not an integer: 1.0"),
+        ("skeleton", _skeleton_json(bones=[[1, False]] + [list(b) for b in canonical_skeleton().bones[1:]]),
+         "bone parent is not an integer: False"),
+        ("report", _report_json(num_samples="250"), "num_samples is not an integer: '250'"),
+        ("report", _report_json(num_samples=4.0), "num_samples is not an integer: 4.0"),
+        ("report", _report_json(num_failed=2.9), "num_failed is not an integer: 2.9"),
+        ("report", _report_json(num_failed=True), "num_failed is not an integer: True"),
+    ], ids=["K-float", "K-str", "K-bool", "parent-str", "bone-child-float", "bone-parent-bool",
+            "samples-str", "samples-float", "failed-float", "failed-bool"])
+    def test_rejected(self, tmp_path, reader, obj, message):
+        path = tmp_path / f"{reader}.json"
+        path.write_text(json.dumps(obj))
+        read = {"skeleton": serialize.read_skeleton_json, "report": serialize.read_report_json}
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read[reader](path)

@@ -4,7 +4,7 @@ import pytest
 from hand25d.errors import ConfigError
 from hand25d.pose25d import normalize_pose, to_25d
 from hand25d.serialize import record_to_dict
-from hand25d.skeleton import bone_lengths, canonical_skeleton
+from hand25d.skeleton import BoneStats, bone_lengths, canonical_skeleton
 from hand25d.synth import DEFAULT_CAMERA, SynthConfig, gen_pose, synth_bone_stats
 
 
@@ -96,6 +96,11 @@ class TestConfigValidation:
     def test_bad_jitter(self):
         with pytest.raises(ConfigError):
             SynthConfig(bone_jitter=1.5)
+
+    @pytest.mark.parametrize("count", [3, 19, 21])
+    def test_bone_stats_of_wrong_length(self, count):
+        with pytest.raises(ConfigError, match="20 lengths"):
+            SynthConfig(bone_stats=BoneStats(mean_length=np.full(count, 30.0)))
 
     def test_default_camera(self):
         assert SynthConfig().camera == DEFAULT_CAMERA
