@@ -39,16 +39,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("focal lengths must be positive")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx, self.skew, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class AffineMap2D:
@@ -100,20 +90,14 @@ def project(pose: Pose3D, cam: CameraIntrinsics) -> tuple[Pose2D, np.ndarray]:
 
 
 def backproject(p: Pose2D, depths: np.ndarray, cam: CameraIntrinsics) -> Pose3D:
-    """Exact right-inverse of `project` on the Z > 0 domain."""
+    """Exact right-inverse of `project` on the Z > 0 domain; invalid
+    keypoints come back as (0, 0, 0) placeholders."""
     z = np.asarray(depths, dtype=np.float64)
     if z.shape != (p.num_keypoints,):
         raise ShapeMismatchError("one depth per keypoint required")
     if np.any(z[p.valid] <= 0):
         raise BadDepthError("all valid depths must be positive")
-    xyz = np.zeros((p.num_keypoints, 3))
-    ok = p.valid
-    y_norm = (p.xy[ok, 1] - cam.cy) / cam.fy
-    x_norm = (p.xy[ok, 0] - cam.cx - cam.skew * y_norm) / cam.fx
-    xyz[ok, 0] = x_norm * z[ok]
-    xyz[ok, 1] = y_norm * z[ok]
-    xyz[ok, 2] = z[ok]
-    return Pose3D(xyz=xyz, valid=p.valid.copy())
+    return Pose3D(xyz=_lift(normalized_image_coords(p.xy, cam), z, p.valid), valid=p.valid.copy())
 
 
 def normalized_image_coords(xy: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -123,6 +107,16 @@ def normalized_image_coords(xy: np.ndarray, cam: CameraIntrinsics) -> np.ndarray
     v = (pts[..., 1] - cam.cy) / cam.fy
     u = (pts[..., 0] - cam.cx - cam.skew * v) / cam.fx
     return np.stack([u, v], axis=-1)
+
+
+def _lift(rays: np.ndarray, z: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(K, 3) points at depth z along the (K, 2) rays from
+    `normalized_image_coords`; rows that are not valid are exactly 0.0."""
+    xyz = np.empty((z.shape[0], 3))
+    xyz[:, :2] = rays * z[:, None]
+    xyz[:, 2] = z
+    xyz[~valid] = 0.0
+    return xyz
 
 
 def crop_transform(

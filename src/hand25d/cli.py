@@ -78,7 +78,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _parse_thresholds(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError("thresholds must be finite")
+        return np.linspace(lo, hi, count)
     except ValueError:
         raise ConfigError(f"thresholds must look like 20:50:31, got {text!r}") from None
 
@@ -89,7 +92,7 @@ def _norm_config(args) -> NormalizationConfig:
 
 def _records(path) -> list[serialize.PoseRecord]:
     """All records of a file, left-hand ones that carry a camera mirrored to right-hand."""
-    records = list(serialize.iter_pose_records(path))  # a malformed line fails before any flip
+    records = serialize.read_pose_records(path)  # a malformed line fails before any flip
     return [rec if rec.camera is None else serialize.flip_record_to_right(rec) for rec in records]
 
 

@@ -79,10 +79,6 @@ class HeatmapStack:
     def num_keypoints(self) -> int:
         return self.likelihood.shape[0]
 
-    @property
-    def grid(self) -> HeatmapGrid:
-        return HeatmapGrid(width=self.likelihood.shape[2], height=self.likelihood.shape[1])
-
 
 @dataclass(frozen=True)
 class SpreadParams:

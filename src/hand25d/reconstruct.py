@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, normalized_image_coords
+from .camera import CameraIntrinsics, _lift, normalized_image_coords
 from .errors import (
     BadScaleError,
     DegenerateProjectionError,
@@ -32,7 +32,7 @@ from .errors import (
     NoValidKeypointsError,
 )
 from .pose25d import NormalizationConfig
-from .skeleton import BoneStats, Skeleton
+from .skeleton import BoneStats, Skeleton, bone_lengths
 from .types import Pose3D, Pose25D
 
 DEGENERATE_A = 1e-12
@@ -111,16 +111,10 @@ def reconstruct_pose(
         float(p25.zr[m]),
         cfg.c,
     )
-    z_root = solve_zroot(q)
-    z = z_root + p25.zr
+    z = solve_zroot(q) + p25.zr
     if np.any(z[p25.valid] <= 0):
         raise NonPositiveDepthError("reconstruction placed a valid keypoint behind the camera")
-    xyz = np.zeros((p25.num_keypoints, 3))
-    xyz[:, 0] = rays[:, 0] * z
-    xyz[:, 1] = rays[:, 1] * z
-    xyz[:, 2] = z
-    xyz[~p25.valid] = 0.0
-    return Pose3D(xyz=xyz, valid=p25.valid.copy())
+    return Pose3D(xyz=_lift(rays, z, p25.valid), valid=p25.valid.copy())
 
 
 def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:
@@ -128,15 +122,14 @@ def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:
 
     Closed form s = sum(mu d) / sum(d^2) over bones whose endpoints are
     both valid and whose length is nonzero, so fingertip-only data still
-    works.
+    works. The lengths come from `bone_lengths`, which rejects NaN or inf
+    coordinates and a pose whose keypoint count differs from the skeleton's.
     """
     if stats.mean_length.shape[0] != len(skel.bones):
         raise NoValidBonesError("bone stats do not cover the skeleton")
-    children = np.array([c for c, _ in skel.bones])
-    parents = np.array([p for _, p in skel.bones])
-    usable = pose.valid[children] & pose.valid[parents]
-    d = np.linalg.norm(pose.xyz[children] - pose.xyz[parents], axis=1)
-    usable &= d > 0
+    d = bone_lengths(pose, skel)
+    children, parents = skel.bone_ends
+    usable = pose.valid[children] & pose.valid[parents] & (d > 0)
     if not np.any(usable):
         raise NoValidBonesError("no bone has two valid endpoints and nonzero length")
     mu = stats.mean_length[usable]

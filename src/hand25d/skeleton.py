@@ -8,7 +8,7 @@ Bone ids are dense: bone id = child index - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +52,13 @@ class Skeleton:
                     raise ShapeMismatchError(f"parent map has a cycle through keypoint {k}")
                 seen.add(node)
                 node = self.parent[node]
+
+    @cached_property
+    def bone_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (children, parents) keypoint index arrays, indexed by bone id."""
+        ends = np.array(self.bones, dtype=np.intp).reshape(-1, 2).T.copy()
+        ends.setflags(write=False)
+        return ends[0], ends[1]
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -103,10 +110,9 @@ def bone_lengths(pose: Pose3D, skel: Skeleton) -> np.ndarray:
     """Euclidean length of every bone, indexed by bone id."""
     if pose.num_keypoints != skel.num_keypoints:
         raise ShapeMismatchError("pose and skeleton keypoint counts differ")
-    if not np.all(np.isfinite(pose.xyz)):
+    if not np.isfinite(pose.xyz).all():
         raise NonFiniteError("pose contains NaN or inf coordinates")
-    children = np.array([c for c, _ in skel.bones])
-    parents = np.array([p for _, p in skel.bones])
+    children, parents = skel.bone_ends
     return np.linalg.norm(pose.xyz[children] - pose.xyz[parents], axis=1)
 
 

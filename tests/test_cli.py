@@ -144,6 +144,17 @@ class TestPipeline:
         assert report.auc == 1.0 and report.num_samples == 20
         assert report.epe_mean < 1e-6
 
+    def test_stages_read_through_read_pose_records(self, workdir, monkeypatch):
+        """One reader for every stage, so wrapping it sees all pose input."""
+        read = serialize.read_pose_records
+        paths = []
+        monkeypatch.setattr(serialize, "read_pose_records", lambda p: paths.append(p) or read(p))
+        gt = str(workdir / "gt.jsonl")
+        assert main(["normalize", "--in", gt, "--out", str(workdir / "n.jsonl")]) == 0
+        assert main(["eval", "--pred", gt, "--gt", gt, "--protocol", "root_aligned",
+                     "--space", "3d", "--out", str(workdir / "rep.json")]) == 0
+        assert paths == [gt, gt, gt]
+
 
 class TestEncodeDecode:
     def test_direct_round_trip_bound(self, workdir):
@@ -365,13 +376,14 @@ class TestExitCodes:
         argv = [stage, "--in", str(path), "--camera", str(workdir / "cam.json"), "--out", str(out)]
         assert main(argv) == 0
 
+    @pytest.mark.filterwarnings("error")  # rejected before numpy builds the grid
     @pytest.mark.parametrize("grid", ["nan:50:31", "20:inf:31"])
     def test_non_finite_thresholds_are_3(self, workdir, grid, capsys):
         argv = ["eval", "--pred", str(workdir / "gt.jsonl"), "--gt", str(workdir / "gt.jsonl"),
                 "--protocol", "root_aligned", "--space", "3d", "--thresholds", grid,
                 "--out", str(workdir / "r.json")]
         assert main(argv) == 3
-        assert "error: thresholds must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["error: thresholds must be finite"]
         assert not (workdir / "r.json").exists()
 
     @pytest.mark.parametrize("count", [3, 21])

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hand25d.camera import CameraIntrinsics, backproject, normalized_image_coords
 from hand25d.errors import (
     BadScaleError,
     DegenerateProjectionError,
+    NonFiniteError,
     NonPositiveDepthError,
     NoRealSolutionError,
     NoValidBonesError,
     NoValidKeypointsError,
+    ShapeMismatchError,
 )
 from hand25d.pose25d import NormalizationConfig, normalize_pose, to_25d
 from hand25d.reconstruct import (
@@ -20,7 +25,7 @@ from hand25d.reconstruct import (
 )
 from hand25d.skeleton import BoneStats, bone_lengths, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose, synth_bone_stats
-from hand25d.types import Pose3D, Pose25D
+from hand25d.types import Pose2D, Pose3D, Pose25D
 
 CFG = SynthConfig(seed=11)
 
@@ -141,6 +146,31 @@ class TestReconstructPose:
         with pytest.raises(NonPositiveDepthError):
             reconstruct_pose(Pose25D(xy=p25.xy, zr=zr), CFG.camera)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, 10_000),
+        skew=st.floats(-20.0, 20.0).filter(lambda v: v != 0.0),
+        focal=st.tuples(st.floats(80.0, 400.0), st.floats(80.0, 400.0)),
+        mask=st.lists(st.booleans(), min_size=21, max_size=21),
+    )
+    def test_is_backproject_at_root_depth_plus_zr(self, index, skew, focal, mask):
+        """The lift is `backproject` at depth zroot + zr, bit for bit, with
+        exact +0.0 rows for invalid keypoints."""
+        cam = CameraIntrinsics(fx=focal[0], fy=focal[1], cx=63.5, cy=63.5, skew=skew)
+        _, p25, _ = gen_pose(SynthConfig(seed=3, camera=cam), index)
+        valid = np.array(mask)
+        valid[[5, 0]] = True  # the normalization pair
+        p25 = Pose25D(xy=p25.xy, zr=p25.zr, valid=valid)
+        rays = normalized_image_coords(p25.xy, cam)
+        z_root = solve_zroot(
+            quadratic_coefficients(tuple(rays[5]), tuple(rays[0]), p25.zr[5], p25.zr[0], 1.0)
+        )
+        rebuilt = reconstruct_pose(p25, cam)
+        back = backproject(Pose2D(p25.xy, p25.valid), z_root + p25.zr, cam)
+        assert rebuilt.xyz.tobytes() == back.xyz.tobytes()
+        np.testing.assert_array_equal(rebuilt.valid, valid)
+        assert not rebuilt.xyz[~valid].any() and not np.signbit(rebuilt.xyz[~valid]).any()
+
 
 class TestRecoverScale:
     def test_single_bone(self):
@@ -197,6 +227,20 @@ class TestRecoverScale:
         stats = BoneStats(mean_length=np.full(20, 5.0))
         with pytest.raises(NoValidBonesError):
             recover_scale(Pose3D(xyz=np.zeros((21, 3))), stats, skel)
+
+    def test_non_finite_valid_keypoint_rejected(self):
+        skel = canonical_skeleton()
+        stats = synth_bone_stats(CFG)
+        pose, _, _ = gen_pose(SynthConfig(seed=1), 0)
+        xyz = pose.xyz.copy()
+        xyz[8, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            recover_scale(Pose3D(xyz=xyz), stats, skel)
+
+    def test_keypoint_count_mismatch_rejected(self):
+        stats = BoneStats(mean_length=np.full(20, 5.0))
+        with pytest.raises(ShapeMismatchError):
+            recover_scale(Pose3D(xyz=np.ones((22, 3))), stats, canonical_skeleton())
 
 
 class TestAbsolutePose:

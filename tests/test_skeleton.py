@@ -45,6 +45,13 @@ class TestCanonicalSkeleton:
             with pytest.raises(KeyError):
                 skel.bone_id(not_a_child)
 
+    def test_bone_ends_follow_bones(self):
+        skel = canonical_skeleton()
+        children, parents = skel.bone_ends
+        assert list(zip(children.tolist(), parents.tolist())) == list(skel.bones)
+        with pytest.raises(ValueError):
+            children[0] = 3  # shared by every caller, so read-only
+
     @pytest.mark.parametrize("bones", [
         lambda b: b[1:] + b[:1],                # reordered: bone id != child - 1
         lambda b: b[:-1],                       # one bone short
