@@ -7,6 +7,7 @@ gradient check).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -369,9 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_grid(argv: list[str]) -> list[str]:
+    """`--thresholds -5:30:31` -> `--thresholds=-5:30:31`: argparse reads a
+    separate value that starts with '-' (and is not a plain number) as an
+    option, so a grid with a negative lower bound needs the joined form."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--thresholds" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--thresholds={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_grid(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:

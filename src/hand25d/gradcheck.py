@@ -1,10 +1,15 @@
 """Central-difference verification of the analytic VJPs.
 
 One table gives, per target, its inputs drawn from a seeded random
-problem, the shape of an upstream cotangent, the forward function and
-the VJP. The driver checks each target the same way: the scalar
+problem, the shape of an upstream cotangent, the public forward
+function, a batched forward over the library's batched kernels and the
+VJP. The driver checks each target the same way: the scalar
 sum(upstream * forward(*inputs)) has gradient vjp(upstream, *inputs),
-and central differences of that scalar are compared entrywise.
+and central differences of that scalar are compared entrywise. The
+differences run every +eps and -eps copy of one input through the
+batched forward at once, after checking once per seed that it gives the
+public forward's bits at the unperturbed inputs; if it does not, every
+input gets an infinite error.
 
 Error measure: |analytic - fd| / max(|analytic|, |fd|, 1e-6). The floor
 keeps accidental near-zero gradient entries (where central differences
@@ -31,6 +36,9 @@ from .errors import ConfigError, UnknownTargetError
 from .heatmap import (
     HeatmapStack,
     SpreadParams,
+    _decode,
+    _expected_xy,
+    _softmax,
     decode_latent,
     depth_readout,
     softargmax,
@@ -48,6 +56,9 @@ FD_BREAKDOWN_EPS = 1e-8
 DEFAULT_TOL = 1e-4
 
 _K, _H, _W = 3, 9, 11
+# Perturbed-input entries per batched forward call: small enough that a
+# chunk stays in cache, which measured faster than larger chunks.
+_FD_BATCH_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -86,21 +97,29 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(analytic) & np.isfinite(fd), err, np.inf)
 
 
-def _fd_gradient(scalar_fn, arrays: list[np.ndarray], eps: float) -> list[np.ndarray]:
+def _fd_gradient(
+    batched, upstream: np.ndarray, arrays: list[np.ndarray], eps: float
+) -> list[np.ndarray]:
+    """Central differences of sum(upstream * batched(*arrays)) with respect
+    to every entry of every array. The +eps and -eps copies of one input
+    go through `batched` along a leading axis, in chunks of about
+    _FD_BATCH_ENTRIES perturbed entries; the other inputs broadcast."""
     grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
+    for j, arr in enumerate(arrays):
         flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
-            fp = scalar_fn()
-            flat[i] = saved - eps
-            fm = scalar_fn()
-            flat[i] = saved
-            gflat[i] = (fp - fm) / (2.0 * eps)
-        grads.append(g)
+        step = max(1, _FD_BATCH_ENTRIES // (2 * flat.size))
+        g = np.empty(flat.size)
+        for lo in range(0, flat.size, step):
+            idx = np.arange(lo, min(lo + step, flat.size))
+            rows = np.arange(idx.size)
+            copies = np.tile(flat, (2, idx.size, 1))
+            copies[0, rows, idx] = flat[idx] + eps
+            copies[1, rows, idx] = flat[idx] - eps
+            args = list(arrays)
+            args[j] = copies.reshape((2 * idx.size,) + arr.shape)
+            f = (upstream * batched(*args)).reshape(2, idx.size, -1).sum(axis=-1)
+            g[idx] = (f[0] - f[1]) / (2.0 * eps)
+        grads.append(g.reshape(arr.shape))
     return grads
 
 
@@ -114,35 +133,50 @@ def _decode_xyz(likelihood, depth, beta) -> np.ndarray:
     return np.column_stack([decoded.xy, decoded.zr])
 
 
+def _decode_xyz_batched(likelihood, depth, beta) -> np.ndarray:
+    x, y, zr = _decode(_softmax(likelihood, beta), depth)
+    return np.stack(np.broadcast_arrays(x, y, zr), axis=-1)
+
+
 # target -> (inputs: the seeded (latent, depth, beta) problem -> {name: array},
 #            upstream: shape of the output cotangent,
 #            forward(*inputs) -> output,
+#            batched(*inputs) -> output, where any input may carry extra
+#                leading dims that broadcast into the output's leading dims,
 #            vjp(upstream, *inputs) -> one cotangent per input).
 # Library functions are looked up when called, not captured here, so a
-# replaced module attribute is what gets checked.
+# replaced module attribute is what gets checked: the finite differences
+# run through the batched kernels only after they reproduce the public
+# forward bit for bit at the seed's inputs.
 _TABLE = {
     "spatial_softmax": (
         lambda latent, depth, beta: {"latent": latent, "beta": beta},
         (_K, _H, _W),
         lambda latent, beta: spatial_softmax(latent, SpreadParams(beta=beta)),
+        _softmax,
         lambda g, latent, beta: vjp_spatial_softmax(latent, SpreadParams(beta=beta), g),
     ),
     "softargmax": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta)},
         (2,),
         lambda prob: softargmax(prob, validate=False),
+        # a (..., 1, W) @ (W,) product per map gives the bits of the public
+        # (W,) @ (W,) dot; folding the batch into one (B, W) matrix does not
+        lambda prob: np.concatenate(_expected_xy(prob[..., None, :, :]), axis=-1),
         lambda g, prob: (vjp_softargmax(prob, g),),
     ),
     "depth_readout": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta), "depth": depth[0]},
         (),
         lambda prob, dmap: depth_readout(prob, dmap, validate=False),
+        lambda prob, dmap: (prob * dmap).sum(axis=(-2, -1)),
         lambda g, prob, dmap: vjp_depth_readout(prob, dmap, g),
     ),
     "decode_latent": (
         lambda latent, depth, beta: {"likelihood": latent, "depth": depth, "beta": beta},
         (_K, 3),
         _decode_xyz,
+        _decode_xyz_batched,
         lambda g, like, depth, beta: vjp_decode_latent(
             HeatmapStack(kind="latent", likelihood=like, depth=depth), SpreadParams(beta=beta), g
         ),
@@ -162,7 +196,7 @@ def gradcheck(
     for name, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-    inputs_of, upstream_shape, forward, vjp = _TABLE[target]
+    inputs_of, upstream_shape, forward, batched, vjp = _TABLE[target]
     max_err = 0.0
     worst = None
     per_input: dict[str, float] = {}
@@ -175,7 +209,12 @@ def gradcheck(
         upstream = rng.normal(size=upstream_shape)
         arrays = list(inputs.values())
         analytic = vjp(upstream, *arrays)
-        fd = _fd_gradient(lambda: float((upstream * forward(*arrays)).sum()), arrays, eps)
+        public_out = np.asarray(forward(*arrays), dtype=np.float64)
+        batched_out = batched(*arrays)
+        if public_out.shape == batched_out.shape and public_out.tobytes() == batched_out.tobytes():
+            fd = _fd_gradient(batched, upstream, arrays, eps)
+        else:  # the public forward is not what the batched kernels compute
+            fd = [np.full(arr.shape, np.nan) for arr in arrays]
         for name, a, f in zip(inputs, analytic, fd):
             err = _rel_err(np.asarray(a), f)
             local = float(err.max())

@@ -161,10 +161,17 @@ def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
         raise ShapeMismatchError("latent maps must be (K, H, W)")
     if maps.shape[0] != spread.beta.shape[0]:
         raise ShapeMismatchError("one beta per keypoint required")
-    s = spread.beta[:, None, None] * maps
-    s = s - s.max(axis=(1, 2), keepdims=True)
+    return _softmax(maps, spread.beta)
+
+
+def _softmax(maps: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Spatial softmax of (..., K, H, W) maps with (..., K) spreads; the
+    leading dims broadcast. Each map is reduced on its own, so a batched
+    call gives the same bits as one call per map stack."""
+    s = beta[..., None, None] * maps
+    s = s - s.max(axis=(-2, -1), keepdims=True)
     e = np.exp(s)
-    return e / e.sum(axis=(1, 2), keepdims=True)
+    return e / e.sum(axis=(-2, -1), keepdims=True)
 
 
 def _check_prob(prob: np.ndarray) -> np.ndarray:
@@ -208,9 +215,16 @@ def decode_latent(stack: HeatmapStack, spread: SpreadParams) -> Pose25D:
     if stack.kind != "latent":
         raise ConfigError("decode_latent expects a latent-kind stack")
     prob = spatial_softmax(stack.likelihood, spread)
-    x, y = _expected_xy(prob)
-    zr = (prob * stack.depth).sum(axis=(1, 2))
+    x, y, zr = _decode(prob, stack.depth)
     return Pose25D(xy=np.stack([x, y], axis=1), zr=zr)
+
+
+def _decode(prob: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected x, y and depth under (..., K, H, W) probability maps: x
+    and y take prob's leading dims, the depth those of prob and depth
+    broadcast together."""
+    x, y = _expected_xy(prob)
+    return x, y, (prob * depth).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

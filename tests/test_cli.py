@@ -386,6 +386,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: thresholds must be finite"]
         assert not (workdir / "r.json").exists()
 
+    def test_negative_threshold_grid_in_either_spelling(self, workdir):
+        base = ["eval", "--pred", str(workdir / "gt.jsonl"), "--gt", str(workdir / "gt.jsonl"),
+                "--protocol", "root_aligned", "--space", "3d"]
+        split, joined = workdir / "split.json", workdir / "joined.json"
+        assert main(base + ["--thresholds", "-5:30:31", "--out", str(split)]) == 0
+        assert main(base + ["--thresholds=-5:30:31", "--out", str(joined)]) == 0
+        assert split.read_bytes() == joined.read_bytes()
+        assert serialize.read_report_json(split).pck[0][0] == -5.0
+
     @pytest.mark.parametrize("count", [3, 21])
     def test_bone_stats_of_wrong_count_is_3(self, workdir, count, capsys):
         stats = workdir / "short_stats.json"

@@ -19,6 +19,7 @@ from hand25d.heatmap import (
     vjp_softargmax,
     vjp_spatial_softmax,
 )
+from hand25d.types import Pose25D
 
 # the package re-exports the gradcheck function under the module's name
 gradcheck_module = importlib.import_module("hand25d.gradcheck")
@@ -49,6 +50,88 @@ class TestGradcheckDriver:
         report = gradcheck("softargmax", seeds=3)
         text = "\n".join(report.lines())
         assert "OK" in text and "softargmax" in text
+
+
+def per_entry_fd(scalar_fn, arrays, eps):
+    """Reference central differences: one scalar_fn() call per +eps and
+    per -eps perturbation, made in place and undone."""
+    grads = []
+    for arr in arrays:
+        g = np.zeros_like(arr)
+        flat = arr.ravel()
+        gflat = g.ravel()
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            fp = scalar_fn()
+            flat[i] = saved - eps
+            fm = scalar_fn()
+            flat[i] = saved
+            gflat[i] = (fp - fm) / (2.0 * eps)
+        grads.append(g)
+    return grads
+
+
+REPORT_FIELDS = ("max_rel_err", "worst", "per_input_max", "status")
+
+
+class TestBatchedFiniteDifferences:
+    TARGETS = ["spatial_softmax", "softargmax", "depth_readout", "decode_latent"]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_fd_equals_per_entry_loop(self, monkeypatch, target):
+        forward = gradcheck_module._TABLE[target][2]
+        batched_fd = gradcheck_module._fd_gradient
+        compared = []
+
+        def checked_fd(batched, upstream, arrays, eps):
+            fd = batched_fd(batched, upstream, arrays, eps)
+            own = [a.copy() for a in arrays]
+            ref = per_entry_fd(lambda: float((upstream * forward(*own)).sum()), own, eps)
+            for f, r in zip(fd, ref):
+                assert f.shape == r.shape and f.tobytes() == r.tobytes()
+            compared.append(len(fd))
+            return fd
+
+        monkeypatch.setattr(gradcheck_module, "_fd_gradient", checked_fd)
+        gradcheck(target, seeds=5)
+        assert len(compared) == 5
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_report_independent_of_chunk_size(self, monkeypatch, target):
+        reports = []
+        for entries in (1, 10**9):
+            monkeypatch.setattr(gradcheck_module, "_FD_BATCH_ENTRIES", entries)
+            reports.append(gradcheck(target, seeds=3, eps=1e-6))
+        one, whole = reports
+        for name in REPORT_FIELDS:
+            assert getattr(one, name) == getattr(whole, name)
+        assert one.lines() == whole.lines()
+
+    def test_wrong_public_decode_latent_fails(self, monkeypatch):
+        exact = gradcheck_module.decode_latent
+
+        def scaled(stack, spread):
+            pose = exact(stack, spread)
+            return Pose25D(xy=1.01 * pose.xy, zr=1.01 * pose.zr)
+
+        monkeypatch.setattr(gradcheck_module, "decode_latent", scaled)
+        report = gradcheck("decode_latent", seeds=1)
+        assert report.status == "fail"
+        assert report.max_rel_err == np.inf
+        assert set(report.per_input_max.values()) == {np.inf}
+
+    def test_wrong_public_softargmax_fails(self, monkeypatch):
+        exact = gradcheck_module.softargmax
+
+        def scaled(prob, validate=True):
+            return tuple(1.01 * v for v in exact(prob, validate))
+
+        monkeypatch.setattr(gradcheck_module, "softargmax", scaled)
+        report = gradcheck("softargmax", seeds=1)
+        assert report.status == "fail"
+        assert report.max_rel_err == np.inf
+        assert "FAIL" in report.lines()[0]
 
 
 class TestGradcheckCanFail:

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hand25d.errors import (
     ConfigError,
@@ -7,6 +11,7 @@ from hand25d.errors import (
     OutOfGridError,
     ShapeMismatchError,
 )
+from hand25d import heatmap
 from hand25d.heatmap import (
     HeatmapGrid,
     HeatmapStack,
@@ -21,6 +26,8 @@ from hand25d.heatmap import (
 from hand25d.types import Pose25D
 
 GRID = HeatmapGrid(width=32, height=24)
+# the package re-exports the gradcheck function under the module's name
+gradcheck_module = importlib.import_module("hand25d.gradcheck")
 
 
 def pose_at(points, zr):
@@ -283,3 +290,43 @@ class TestStackValidation:
     def test_beta_positive(self):
         with pytest.raises(ConfigError):
             SpreadParams(beta=np.array([1.0, 0.0]))
+
+
+class TestBatchedKernels:
+    """The batched kernels behind the finite-difference driver give, for
+    each item of a (B, K, H, W) stack, the bits of the public per-item
+    functions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 5),
+        k=st.integers(1, 4),
+        h=st.integers(2, 12),
+        w=st.integers(2, 12),
+        scale=st.floats(0.01, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_equals_per_item(self, b, k, h, w, scale, seed):
+        rng = np.random.default_rng(seed)
+        like = scale * rng.normal(size=(b, k, h, w))
+        depth = rng.normal(size=(b, k, h, w))
+        beta = rng.uniform(0.1, 5.0, (b, k))
+        soft_xy = gradcheck_module._TABLE["softargmax"][3]
+        readout = gradcheck_module._TABLE["depth_readout"][3]
+        prob = heatmap._softmax(like, beta)
+        x, y, zr = heatmap._decode(prob, depth)
+        xy = soft_xy(prob)
+        z = readout(prob, depth)
+        assert xy.shape == (b, k, 2) and z.shape == (b, k)
+        for i in range(b):
+            spread = SpreadParams(beta=beta[i])
+            assert prob[i].tobytes() == spatial_softmax(like[i], spread).tobytes()
+            pose = decode_latent(HeatmapStack(kind="latent", likelihood=like[i], depth=depth[i]),
+                                 spread)
+            assert np.stack([x[i], y[i]], axis=1).tobytes() == pose.xy.tobytes()
+            assert zr[i].tobytes() == pose.zr.tobytes()
+            for j in range(k):
+                one_xy = np.array(softargmax(prob[i, j], validate=False))
+                assert xy[i, j].tobytes() == one_xy.tobytes()
+                one_z = np.float64(depth_readout(prob[i, j], depth[i, j], validate=False))
+                assert z[i, j].tobytes() == one_z.tobytes()
