@@ -97,7 +97,8 @@ def backproject(p: Pose2D, depths: np.ndarray, cam: CameraIntrinsics) -> Pose3D:
         raise ShapeMismatchError("one depth per keypoint required")
     if np.any(z[p.valid] <= 0):
         raise BadDepthError("all valid depths must be positive")
-    return Pose3D(xyz=_lift(normalized_image_coords(p.xy, cam), z, p.valid), valid=p.valid.copy())
+    rays = normalized_image_coords(np.where(p.valid[:, None], p.xy, 0.0), cam)
+    return Pose3D(xyz=_lift(rays, z, p.valid), valid=p.valid.copy())
 
 
 def normalized_image_coords(xy: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -111,11 +112,10 @@ def normalized_image_coords(xy: np.ndarray, cam: CameraIntrinsics) -> np.ndarray
 
 def _lift(rays: np.ndarray, z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(K, 3) points at depth z along the (K, 2) rays from
-    `normalized_image_coords`; rows that are not valid are exactly 0.0."""
-    xyz = np.empty((z.shape[0], 3))
-    xyz[:, :2] = rays * z[:, None]
-    xyz[:, 2] = z
-    xyz[~valid] = 0.0
+    `normalized_image_coords`; only valid rows are computed, the others are exactly 0.0."""
+    xyz = np.zeros((z.shape[0], 3))
+    xyz[valid, :2] = rays[valid] * z[valid, None]
+    xyz[valid, 2] = z[valid]
     return xyz
 
 

@@ -50,12 +50,15 @@ class EvalReport:
 def epe(
     pred: np.ndarray, gt: np.ndarray, valid: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
-    """Euclidean errors over valid keypoints, plus their mean and median."""
+    """Euclidean errors over valid keypoints (row-major, so pose by pose for a stack), plus
+    their mean and median. pred and gt are matching (..., K, D) arrays, valid a (..., K) mask."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2:
-        raise ShapeMismatchError("pred and gt must be matching (K, D) arrays")
-    mask = np.ones(pred.shape[0], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    if pred.shape != gt.shape or pred.ndim < 2:
+        raise ShapeMismatchError("pred and gt must be matching (..., K, D) arrays")
+    mask = np.ones(pred.shape[:-1], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    if mask.shape != pred.shape[:-1]:
+        raise ShapeMismatchError(f"valid masks {mask.shape} do not match pred {pred.shape}")
     if not np.any(mask):
         raise NoValidKeypointsError("no valid keypoint to evaluate")
     errors = np.linalg.norm(pred[mask] - gt[mask], axis=1)
@@ -125,30 +128,28 @@ def evaluate(
 ) -> EvalReport:
     """Pool per-keypoint errors over a corpus and build a report.
 
-    Points are (K, 2) pixel or (K, 3) mm arrays; root alignment, when the
-    protocol asks for it, must already have been applied by the caller
-    (it needs pose semantics, not bare arrays).
+    Points are (K, 2) pixel or (K, 3) mm arrays of one shape, stacked and
+    scored with one `epe` call; a None mask marks every keypoint valid. Root
+    alignment, when the protocol asks for it, must already have been applied
+    by the caller (it needs pose semantics, not bare arrays).
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     if space not in ("2d", "3d"):
         raise ConfigError(f"unknown space {space!r}")
-    if len(pred_points) != len(gt_points):
-        raise ShapeMismatchError("prediction and ground-truth corpora differ in length")
-    if len(valid_masks) != len(pred_points):
-        raise ShapeMismatchError("valid masks and the corpora differ in length")
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS_3D_MM if space == "3d" else DEFAULT_THRESHOLDS_2D_PX
-    pooled: list[np.ndarray] = []
-    for pred, gt, mask in zip(pred_points, gt_points, valid_masks):
-        mask = np.asarray(mask, dtype=bool) if mask is not None else None
-        if mask is not None and not mask.any():
-            continue
-        errors, _, _ = epe(pred, gt, mask)
-        pooled.append(errors)
-    if not pooled:
+    try:
+        pred, gt = (np.asarray(p, dtype=np.float64) for p in (pred_points, gt_points))
+        valid = np.asarray([np.ones(pred.shape[1:-1], dtype=bool) if m is None else m
+                            for m in valid_masks], dtype=bool)
+    except ValueError as exc:  # numpy cannot stack a ragged corpus
+        raise ShapeMismatchError("the poses of a corpus must share one (K, D) shape") from exc
+    if pred.ndim != 3 and pred.size:
+        raise ShapeMismatchError("the poses of a corpus must be (K, D) arrays")
+    if not valid.any():  # also the empty corpus, which stacks to shape (0,)
         raise NoValidKeypointsError("no valid keypoints in the whole corpus")
-    errors = np.concatenate(pooled)
+    errors, mean, median = epe(pred, gt, valid)
     fractions = pck_curve(errors, thresholds)
     thr = np.asarray(thresholds, dtype=np.float64)
     return EvalReport(
@@ -156,8 +157,8 @@ def evaluate(
         space=space,
         unit="mm" if space == "3d" else "px",
         per_keypoint_errors=tuple(float(e) for e in errors),
-        epe_mean=float(errors.mean()),
-        epe_median=float(np.median(errors)),
+        epe_mean=mean,
+        epe_median=median,
         pck=tuple((float(t), float(f)) for t, f in zip(thr, fractions)),
         auc=auc(thr, fractions),
         num_samples=len(pred_points),

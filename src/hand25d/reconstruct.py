@@ -103,7 +103,7 @@ def reconstruct_pose(
     n, m = cfg.pair
     if not (p25.valid[n] and p25.valid[m]):
         raise NoValidKeypointsError(f"normalization pair {cfg.pair} must be valid in the 2.5D pose")
-    rays = normalized_image_coords(p25.xy, cam)
+    rays = normalized_image_coords(np.where(p25.valid[:, None], p25.xy, 0.0), cam)
     q = quadratic_coefficients(
         (rays[n, 0], rays[n, 1]),
         (rays[m, 0], rays[m, 1]),
@@ -111,7 +111,7 @@ def reconstruct_pose(
         float(p25.zr[m]),
         cfg.c,
     )
-    z = solve_zroot(q) + p25.zr
+    z = solve_zroot(q) + np.where(p25.valid, p25.zr, 0.0)
     if np.any(z[p25.valid] <= 0):
         raise NonPositiveDepthError("reconstruction placed a valid keypoint behind the camera")
     return Pose3D(xyz=_lift(rays, z, p25.valid), valid=p25.valid.copy())

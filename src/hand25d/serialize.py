@@ -15,7 +15,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -204,18 +204,16 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:
-    return list(iter_pose_records(path))
-
-
-def iter_pose_records(path: str | Path) -> Iterator[PoseRecord]:
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 try:
-                    yield record_from_dict(_loads(line))
+                    records.append(record_from_dict(_loads(line)))
                 except DataFormatError as exc:
                     raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return records
 
 
 def flip_record_to_right(rec: PoseRecord) -> PoseRecord:

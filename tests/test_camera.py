@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,20 @@ class TestBackproject:
     def test_bad_depth(self):
         with pytest.raises(BadDepthError):
             backproject(Pose2D(xy=[[64.0, 64.0]]), np.array([0.0]), CAM)
+
+    @pytest.mark.parametrize("placeholder", [np.inf, -np.inf, np.nan])
+    def test_placeholders_never_enter_arithmetic(self, placeholder):
+        """Invalid pixels and depths are never read: any placeholder gives
+        the bytes of 0.0 placeholders, and nothing warns."""
+        cam = CameraIntrinsics(fx=120.0, fy=110.0, cx=60.0, cy=70.0, skew=2.5)
+        valid = [True, False, True]
+        clean = backproject(Pose2D([[10, 20], [0, 0], [80, 5]], valid), [500, 0, 300], cam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            odd = Pose2D([[10, 20], [placeholder, placeholder], [80, 5]], valid)
+            back = backproject(odd, [500, placeholder, 300], cam)
+        assert back.xyz.tobytes() == clean.xyz.tobytes()
+        assert not back.xyz[1].any() and not np.signbit(back.xyz[1]).any()
 
 
 class TestNormalizedImageCoords:

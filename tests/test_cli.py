@@ -346,6 +346,39 @@ class TestExitCodes:
         rec = serialize.read_pose_records(out)[0]
         assert not rec.valid.any()
 
+    def test_eval_of_an_all_failed_reconstruction_is_3(self, workdir, capsys):
+        gts = serialize.read_pose_records(workdir / "gt.jsonl")[:2]
+        degenerate = serialize.PoseRecord(
+            valid=np.ones(21, dtype=bool),
+            px=np.tile([63.5, 63.5], (21, 1)),
+            zr_norm=np.zeros(21),
+            camera=gts[0].camera,
+        )
+        serialize.write_pose_records(workdir / "degenerate.jsonl", [degenerate] * 2)
+        serialize.write_pose_records(workdir / "gt2.jsonl", gts)
+        failed = workdir / "failed.jsonl"
+        assert main(["reconstruct", "--in", str(workdir / "degenerate.jsonl"),
+                     "--out", str(failed)]) == 0
+        assert not any(rec.valid.any() for rec in serialize.read_pose_records(failed))
+        capsys.readouterr()
+        assert (
+            main(
+                [
+                    "eval",
+                    "--pred", str(failed),
+                    "--gt", str(workdir / "gt2.jsonl"),
+                    "--protocol", "absolute_with_scale",
+                    "--space", "3d",
+                    "--out", str(workdir / "r.json"),
+                ]
+            )
+            == 3
+        )
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no valid keypoints in the whole corpus"
+        )
+        assert not (workdir / "r.json").exists()
+
     def test_eval_length_mismatch_is_3(self, workdir, tmp_path):
         short = tmp_path / "short.jsonl"
         serialize.write_pose_records(short, serialize.read_pose_records(workdir / "gt.jsonl")[:3])

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hand25d.errors import (
     BadHeadLengthError,
@@ -11,7 +15,9 @@ from hand25d.errors import (
     TooFewPointsError,
 )
 from hand25d.metrics import (
+    DEFAULT_THRESHOLDS_2D_PX,
     DEFAULT_THRESHOLDS_3D_MM,
+    EvalReport,
     align_root,
     auc,
     epe,
@@ -57,6 +63,36 @@ class TestEpe:
     def test_all_invalid(self):
         with pytest.raises(NoValidKeypointsError):
             epe(np.zeros((2, 3)), np.zeros((2, 3)), valid=np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("valid", [[True, False], [[True] * 3], np.ones((3, 3), dtype=bool)])
+    def test_mask_shape_must_match(self, valid):
+        with pytest.raises(ShapeMismatchError, match="valid masks"):
+            epe(np.zeros((3, 3)), np.zeros((3, 3)), valid=valid)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 3)])
+    def test_pred_and_gt_must_match(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            epe(np.zeros(shape), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_stack_equals_concatenated_poses(self, with_mask):
+        rng = np.random.default_rng(9)
+        pred, gt = rng.normal(size=(2, 7, 21, 3))
+        valid = rng.random((7, 21)) < 0.6 if with_mask else None
+        masks = valid if with_mask else [None] * 7
+        pooled = np.concatenate([epe(p, g, m)[0] for p, g, m in zip(pred, gt, masks)])
+        errors, mean, median = epe(pred, gt, valid)
+        assert errors.tobytes() == pooled.tobytes()
+        assert mean == float(pooled.mean()) and median == float(np.median(pooled))
+
+    def test_masked_rows_never_enter_arithmetic(self):
+        pred = np.array([[[3.0, 4.0], [np.inf, np.nan]], [[np.inf, -np.inf], [0.0, 1.0]]])
+        gt = np.where(np.isfinite(pred), 0.0, np.inf)  # inf - inf would warn
+        valid = np.array([[True, False], [False, True]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors, _, _ = epe(pred, gt, valid)
+        assert list(errors) == [5.0, 1.0]
 
 
 class TestAlignRoot:
@@ -204,3 +240,110 @@ class TestEvaluate:
         pts = [np.zeros((21, 3)), np.ones((21, 3))]
         with pytest.raises(ShapeMismatchError, match="valid masks"):
             evaluate(pts, pts, [None], "absolute_with_scale", "3d")
+
+    def test_ragged_corpus(self):
+        pred = [np.zeros((21, 3)), np.zeros((20, 3))]
+        with pytest.raises(ShapeMismatchError, match="share one"):
+            evaluate(pred, pred, [None, None], "absolute_with_scale", "3d")
+
+    def test_poses_must_be_two_dimensional(self):
+        pts = [np.zeros(3), np.ones(3)]
+        with pytest.raises(ShapeMismatchError, match=r"\(K, D\) arrays"):
+            evaluate(pts, pts, [None, None], "absolute_with_scale", "3d")
+
+    @pytest.mark.parametrize("masks", [[], [np.zeros(21, dtype=bool)] * 2])
+    def test_nothing_valid_in_the_corpus(self, masks):
+        pts = [np.zeros((21, 3))] * len(masks)
+        with pytest.raises(NoValidKeypointsError, match="^no valid keypoints in the whole corpus$"):
+            evaluate(pts, pts, masks, "absolute_with_scale", "3d")
+
+
+def pooled_reference(pred_points, gt_points, valid_masks, protocol, space, thresholds=None,
+                     num_failed=0):
+    """The per-pose pooling loop `evaluate` used to run, kept as its reference."""
+    if protocol not in ("root_aligned", "absolute_with_scale"):
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    if space not in ("2d", "3d"):
+        raise ConfigError(f"unknown space {space!r}")
+    if len(pred_points) != len(gt_points):
+        raise ShapeMismatchError("prediction and ground-truth corpora differ in length")
+    if len(valid_masks) != len(pred_points):
+        raise ShapeMismatchError("valid masks and the corpora differ in length")
+    if thresholds is None:
+        thresholds = DEFAULT_THRESHOLDS_3D_MM if space == "3d" else DEFAULT_THRESHOLDS_2D_PX
+    pooled = []
+    for pred, gt, mask in zip(pred_points, gt_points, valid_masks):
+        mask = np.asarray(mask, dtype=bool) if mask is not None else None
+        if mask is not None and not mask.any():
+            continue
+        errors, _, _ = epe(pred, gt, mask)
+        pooled.append(errors)
+    if not pooled:
+        raise NoValidKeypointsError("no valid keypoints in the whole corpus")
+    errors = np.concatenate(pooled)
+    fractions = pck_curve(errors, thresholds)
+    thr = np.asarray(thresholds, dtype=np.float64)
+    return EvalReport(
+        protocol=protocol,
+        space=space,
+        unit="mm" if space == "3d" else "px",
+        per_keypoint_errors=tuple(float(e) for e in errors),
+        epe_mean=float(errors.mean()),
+        epe_median=float(np.median(errors)),
+        pck=tuple((float(t), float(f)) for t, f in zip(thr, fractions)),
+        auc=auc(thr, fractions),
+        num_samples=len(pred_points),
+        num_failed=num_failed,
+    )
+
+
+def hexed(value):
+    """A report field with every float spelled exactly, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(hexed(v) for v in value)
+    return value
+
+
+def outcome(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = fn(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - the class and message are compared
+            return type(exc), str(exc)
+    return {name: hexed(value) for name, value in vars(report).items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 39),
+    k=st.integers(1, 21),
+    space=st.sampled_from(["2d", "3d"]),
+    mask_kind=st.sampled_from(["none", "random", "all_false_rows", "all_false"]),
+    placeholder=st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+    thresholds=st.sampled_from([None, (0.0, 0.5, 1.0, 4.0), (-1.0, 2.5)]),
+)
+def test_evaluate_matches_per_pose_pooling(seed, n, k, space, mask_kind, placeholder, thresholds):
+    rng = np.random.default_rng(seed)
+    d = 3 if space == "3d" else 2
+    gt = rng.normal(scale=20.0, size=(n, k, d))
+    pred = gt + rng.normal(scale=rng.choice([0.0, 1.0, 30.0]), size=(n, k, d))
+    pred[rng.random((n, k)) < 0.1] = gt[0, 0] if n else 0.0  # exact hits and ties
+    if mask_kind == "none":
+        masks = [None] * n
+    else:
+        valid = rng.random((n, k)) < rng.uniform(0.2, 1.0)
+        if mask_kind == "all_false_rows":
+            valid[rng.random(n) < 0.4] = False
+        elif mask_kind == "all_false":
+            valid[:] = False
+        pred[~valid] = gt[~valid] = placeholder  # never read, so inf - inf never warns
+        masks = [row if rng.random() < 0.7 else row.tolist() for row in valid]
+        if n:
+            masks[rng.integers(n)] = None if mask_kind == "random" else masks[0]
+    args = (list(pred), list(gt), masks, "absolute_with_scale", space, thresholds)
+    expected = outcome(pooled_reference, *args, num_failed=n // 3)
+    assert outcome(evaluate, *args, num_failed=n // 3) == expected

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,24 @@ class TestReconstructPose:
         back = backproject(Pose2D(p25.xy, p25.valid), z_root + p25.zr, cam)
         assert rebuilt.xyz.tobytes() == back.xyz.tobytes()
         np.testing.assert_array_equal(rebuilt.valid, valid)
+        assert not rebuilt.xyz[~valid].any() and not np.signbit(rebuilt.xyz[~valid]).any()
+
+    @pytest.mark.parametrize("placeholder", [np.inf, -np.inf, np.nan])
+    def test_placeholders_never_enter_arithmetic(self, placeholder):
+        """Invalid pixels and zr are never read: any placeholder gives the
+        bytes of 0.0 placeholders, and nothing warns."""
+        cam = CameraIntrinsics(fx=150.0, fy=140.0, cx=63.5, cy=63.5, skew=3.0)
+        _, p25, _ = gen_pose(SynthConfig(seed=3, camera=cam), 4)
+        valid = np.ones(21, dtype=bool)
+        valid[[2, 8, 13, 20]] = False
+        xy, zr = p25.xy.copy(), p25.zr.copy()
+        xy[~valid], zr[~valid] = 0.0, 0.0
+        clean = reconstruct_pose(Pose25D(xy=xy, zr=zr, valid=valid), cam)
+        xy[~valid], zr[~valid] = placeholder, placeholder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rebuilt = reconstruct_pose(Pose25D(xy=xy, zr=zr, valid=valid), cam)
+        assert rebuilt.xyz.tobytes() == clean.xyz.tobytes()
         assert not rebuilt.xyz[~valid].any() and not np.signbit(rebuilt.xyz[~valid]).any()
 
 
