@@ -33,7 +33,7 @@ from .heatmap import (
     decode_latent,
     encode_direct,
 )
-from .metrics import PROTOCOLS, align_root, evaluate
+from .metrics import PROTOCOLS, evaluate
 from .pose25d import NormalizationConfig, to_25d
 from .reconstruct import absolute_pose, reconstruct_pose, recover_scale
 from .skeleton import canonical_skeleton, shorten_fingertips
@@ -222,27 +222,15 @@ def _cmd_eval(args) -> int:
     gts = _records(args.gt)
     if len(preds) != len(gts):
         raise DataFormatError(f"{len(preds)} predictions vs {len(gts)} ground-truth records")
-    pred_pts, gt_pts, masks = [], [], []
-    failed = 0
-    for i, (pr, gt) in enumerate(zip(preds, gts)):
-        mask = pr.valid & gt.valid
-        if not mask.any():
-            failed += 1
-            continue
-        if args.space == "3d":
-            pred_pose, gt_pose = pr.pose3d(), gt.pose3d()
-            if args.protocol == "root_aligned":
-                pred_pose = align_root(pred_pose, gt_pose, root_index=0)
-            pred_pts.append(pred_pose.xyz)
-            gt_pts.append(gt_pose.xyz)
-        else:
-            pred_pts.append(pr.pose2d().xy)
-            gt_pts.append(gt.pose2d().xy)
-        masks.append(mask)
+    masks = [pr.valid & gt.valid for pr, gt in zip(preds, gts)]
+    scored = [i for i, mask in enumerate(masks) if mask.any()]  # the other pairs failed
+    view, what = ("xyz_mm", "3D") if args.space == "3d" else ("px", "pixel")
+    points = [[getattr(recs[i], view) for i in scored] for recs in (preds, gts)]
+    if any(p is None for pts in points for p in pts):
+        raise DataFormatError(f"record carries no {what} coordinates")
     thresholds = _parse_thresholds(args.thresholds) if args.thresholds else None
-    report = evaluate(
-        pred_pts, gt_pts, masks, args.protocol, args.space, thresholds, num_failed=failed
-    )
+    report = evaluate(*points, [masks[i] for i in scored], args.protocol, args.space,
+                      thresholds, num_failed=len(preds) - len(scored))
     serialize.write_report_json(args.out, report)
     return 0
 

@@ -1,8 +1,8 @@
 """Evaluation metrics: end-point error, PCK curves and their AUC, the
 head-normalized 2D variant, and root alignment.
 
-Two protocols are expressed by the caller: ROOT_ALIGNED translates the
-prediction so its root matches ground truth before 3D errors (the
+`evaluate` applies one of two protocols: ROOT_ALIGNED translates each 3D
+prediction so its root matches ground truth before the errors (the
 synthetic-dataset convention), ABSOLUTE_WITH_SCALE compares poses as-is,
 which scores the full absolute reconstruction including global scale.
 """
@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewPointsError,
 )
+from .skeleton import ROOT_INDEX
 from .types import Pose3D
 
 PROTOCOLS = ("root_aligned", "absolute_with_scale")
@@ -47,11 +48,7 @@ class EvalReport:
     meta: dict = field(default_factory=dict)
 
 
-def epe(
-    pred: np.ndarray, gt: np.ndarray, valid: np.ndarray | None = None
-) -> tuple[np.ndarray, float, float]:
-    """Euclidean errors over valid keypoints (row-major, so pose by pose for a stack), plus
-    their mean and median. pred and gt are matching (..., K, D) arrays, valid a (..., K) mask."""
+def _matched(pred, gt, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.ndim < 2:
@@ -59,18 +56,32 @@ def epe(
     mask = np.ones(pred.shape[:-1], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
     if mask.shape != pred.shape[:-1]:
         raise ShapeMismatchError(f"valid masks {mask.shape} do not match pred {pred.shape}")
+    return pred, gt, mask
+
+
+def epe(
+    pred: np.ndarray, gt: np.ndarray, valid: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
+    """Euclidean errors over valid keypoints (row-major, so pose by pose for a stack), plus
+    their mean and median. pred and gt are matching (..., K, D) arrays, valid a (..., K) mask."""
+    pred, gt, mask = _matched(pred, gt, valid)
     if not np.any(mask):
         raise NoValidKeypointsError("no valid keypoint to evaluate")
     errors = np.linalg.norm(pred[mask] - gt[mask], axis=1)
     return errors, float(errors.mean()), float(np.median(errors))
 
 
+def _align_root(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray, root: int) -> np.ndarray:
+    """Translate each (..., K, 3) pred onto its gt root, which the (..., K) mask must mark."""
+    if not valid[..., root].all():
+        raise InvalidRootError(f"root keypoint {root} must be valid in both poses")
+    return pred + (gt[..., root, :] - pred[..., root, :])[..., None, :]
+
+
 def align_root(pred: Pose3D, gt: Pose3D, root_index: int = 0) -> Pose3D:
     """Translate pred so its root coincides with the ground-truth root."""
-    if not (pred.valid[root_index] and gt.valid[root_index]):
-        raise InvalidRootError(f"root keypoint {root_index} must be valid in both poses")
-    shift = gt.xyz[root_index] - pred.xyz[root_index]
-    return Pose3D(xyz=pred.xyz + shift, valid=pred.valid.copy())
+    xyz = _align_root(pred.xyz, gt.xyz, pred.valid & gt.valid, root_index)
+    return Pose3D(xyz=xyz, valid=pred.valid.copy())
 
 
 def pck_curve(errors: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
@@ -129,9 +140,9 @@ def evaluate(
     """Pool per-keypoint errors over a corpus and build a report.
 
     Points are (K, 2) pixel or (K, 3) mm arrays of one shape, stacked and
-    scored with one `epe` call; a None mask marks every keypoint valid. Root
-    alignment, when the protocol asks for it, must already have been applied
-    by the caller (it needs pose semantics, not bare arrays).
+    scored with one `epe` call; a None mask marks every keypoint valid. Under
+    "root_aligned", each 3D pose with a valid keypoint is first translated onto
+    its ground-truth root (keypoint 0), which must be valid; 2D is never aligned.
     """
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -145,10 +156,15 @@ def evaluate(
                             for m in valid_masks], dtype=bool)
     except ValueError as exc:  # numpy cannot stack a ragged corpus
         raise ShapeMismatchError("the poses of a corpus must share one (K, D) shape") from exc
-    if pred.ndim != 3 and pred.size:
+    if pred.ndim != 3 and len(pred):
         raise ShapeMismatchError("the poses of a corpus must be (K, D) arrays")
     if not valid.any():  # also the empty corpus, which stacks to shape (0,)
         raise NoValidKeypointsError("no valid keypoints in the whole corpus")
+    if protocol == "root_aligned" and space == "3d":
+        pred, gt, valid = _matched(pred, gt, valid)  # before rows are picked by the masks
+        scored = valid.any(axis=-1)
+        gt, valid = gt[scored], valid[scored]
+        pred = _align_root(pred[scored], gt, valid, ROOT_INDEX)
     errors, mean, median = epe(pred, gt, valid)
     fractions = pck_curve(errors, thresholds)
     thr = np.asarray(thresholds, dtype=np.float64)
@@ -156,7 +172,7 @@ def evaluate(
         protocol=protocol,
         space=space,
         unit="mm" if space == "3d" else "px",
-        per_keypoint_errors=tuple(float(e) for e in errors),
+        per_keypoint_errors=tuple(errors.tolist()),
         epe_mean=mean,
         epe_median=median,
         pck=tuple((float(t), float(f)) for t, f in zip(thr, fractions)),

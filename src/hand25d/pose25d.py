@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, project
-from .errors import ConfigError, ZeroBoneError
+from .errors import ConfigError, NoValidKeypointsError, ZeroBoneError
 from .skeleton import ROOT_INDEX, canonical_skeleton
 from .types import Pose3D, Pose25D
 
@@ -66,8 +66,12 @@ def to_25d(
 
     The output is identical for pose and lambda*pose (lambda > 0): the
     projection is scale invariant and the depths are normalized by the
-    pair bone length.
+    pair bone length. The normalization pair and the root must be valid.
     """
+    if not (pose.valid[cfg.pair[0]] and pose.valid[cfg.pair[1]]):
+        raise NoValidKeypointsError(f"normalization pair {cfg.pair} must be valid in the 3D pose")
+    if not pose.valid[root]:
+        raise NoValidKeypointsError(f"root keypoint {root} must be valid in the 3D pose")
     p2d, z = project(pose, cam)
     s = normalization_scale(pose, cfg)
     z_hat = (cfg.c / s) * z

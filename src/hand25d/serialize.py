@@ -24,7 +24,7 @@ from .errors import ConfigError, DataFormatError
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
 from .skeleton import BoneStats, Skeleton, canonical_skeleton
-from .types import Pose2D, Pose3D, Pose25D
+from .types import Pose3D, Pose25D
 
 SCHEMA_VERSION = 1
 H25D_MAGIC = b"H25D"
@@ -94,11 +94,6 @@ class PoseRecord:
     @property
     def num_keypoints(self) -> int:
         return self.valid.shape[0]
-
-    def pose2d(self) -> Pose2D:
-        if self.px is None:
-            raise DataFormatError("record carries no pixel coordinates")
-        return Pose2D(xy=self.px.copy(), valid=self.valid.copy())
 
     def pose3d(self) -> Pose3D:
         if self.xyz_mm is None:

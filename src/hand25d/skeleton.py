@@ -127,7 +127,8 @@ def mean_bone_stats(poses: Iterable[Pose3D] | Sequence[Pose3D], skel: Skeleton) 
 def shorten_fingertips(pose: Pose3D, factor: float, skel: Skeleton) -> Pose3D:
     """Move each fingertip toward its parent so the last bone length scales
     by `factor`. Used to reconcile tip-center vs nail-edge annotation
-    conventions; factor 1.0 is the identity.
+    conventions; factor 1.0 is the identity. A tip stays where it is when
+    it or its parent is invalid.
     """
     if not 0.0 < factor <= 1.0:
         raise BadFactorError(f"shortening factor must be in (0, 1], got {factor}")
@@ -138,5 +139,6 @@ def shorten_fingertips(pose: Pose3D, factor: float, skel: Skeleton) -> Pose3D:
         return Pose3D(xyz=xyz, valid=pose.valid.copy())
     for tip in FINGERTIP_INDICES:
         par = skel.parent[tip]
-        xyz[tip] = xyz[par] + factor * (xyz[tip] - xyz[par])
+        if pose.valid[tip] and pose.valid[par]:
+            xyz[tip] = xyz[par] + factor * (xyz[tip] - xyz[par])
     return Pose3D(xyz=xyz, valid=pose.valid.copy())

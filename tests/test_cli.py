@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -6,7 +7,8 @@ import pytest
 
 from hand25d import serialize
 from hand25d.cli import main
-from hand25d.metrics import epe
+from hand25d.errors import DataFormatError, Hand25DError
+from hand25d.metrics import align_root, epe, evaluate
 from hand25d.skeleton import bone_lengths, canonical_skeleton
 from hand25d.synth import SynthConfig, synth_bone_stats
 
@@ -154,6 +156,110 @@ class TestPipeline:
         assert main(["eval", "--pred", gt, "--gt", gt, "--protocol", "root_aligned",
                      "--space", "3d", "--out", str(workdir / "rep.json")]) == 0
         assert paths == [gt, gt, gt]
+
+
+def eval_reference(preds, gts, protocol, space):
+    """The per-record loop the eval stage used to run: per-pose `align_root`
+    for root-aligned 3D, then an `evaluate` that only labels the protocol."""
+    if len(preds) != len(gts):
+        raise DataFormatError(f"{len(preds)} predictions vs {len(gts)} ground-truth records")
+    pred_pts, gt_pts, masks = [], [], []
+    failed = 0
+    for pr, gt in zip(preds, gts):
+        mask = pr.valid & gt.valid
+        if not mask.any():
+            failed += 1
+            continue
+        if space == "3d":
+            pred_pose, gt_pose = pr.pose3d(), gt.pose3d()
+            if protocol == "root_aligned":
+                pred_pose = align_root(pred_pose, gt_pose, root_index=0)
+            pred_pts.append(pred_pose.xyz)
+            gt_pts.append(gt_pose.xyz)
+        else:
+            if pr.px is None or gt.px is None:
+                raise DataFormatError("record carries no pixel coordinates")
+            pred_pts.append(pr.px.copy())
+            gt_pts.append(gt.px.copy())
+        masks.append(mask)
+    report = evaluate(pred_pts, gt_pts, masks, "absolute_with_scale", space, num_failed=failed)
+    return dataclasses.replace(report, protocol=protocol)
+
+
+def eval_outcome(tmp, preds, gts, protocol, space, capsys):
+    """(report bytes, "") or (exit code, last stderr line) of the eval stage,
+    and the same for `eval_reference`."""
+    serialize.write_pose_records(tmp / "p.jsonl", preds)
+    serialize.write_pose_records(tmp / "g.jsonl", gts)
+    capsys.readouterr()
+    rc = main(["eval", "--pred", str(tmp / "p.jsonl"), "--gt", str(tmp / "g.jsonl"),
+               "--protocol", protocol, "--space", space, "--out", str(tmp / "r.json")])
+    err = capsys.readouterr().err.splitlines()
+    got = (tmp / "r.json").read_bytes() if rc == 0 else (rc, err[-1])
+    (tmp / "r.json").unlink(missing_ok=True)
+    reread = [serialize.read_pose_records(tmp / name) for name in ("p.jsonl", "g.jsonl")]
+    try:
+        serialize.write_report_json(tmp / "ref.json", eval_reference(*reread, protocol, space))
+    except Hand25DError as exc:
+        return got, (3, f"error: {exc}")
+    return got, (tmp / "ref.json").read_bytes()
+
+
+@pytest.fixture
+def noisy_corpus(workdir):
+    """Predictions with a global offset, noise and invalid keypoints against
+    a ground truth with invalid keypoints; pairs 3, 10 and 17 share no valid keypoint."""
+    rng = np.random.default_rng(11)
+    gts = serialize.read_pose_records(workdir / "gt.jsonl")
+    preds = []
+    for i, gt in enumerate(gts):
+        gt.valid = rng.random(21) < 0.9
+        valid = rng.random(21) < 0.8
+        gt.valid[0] = valid[0] = True
+        if i % 7 == 3:
+            (valid if i < 15 else gt.valid)[:] = False
+        preds.append(serialize.PoseRecord(
+            valid, px=gt.px + rng.normal(scale=2.0, size=(21, 2)),
+            xyz_mm=gt.xyz_mm + rng.normal(scale=15.0, size=3) + rng.normal(size=(21, 3)) * 5.0,
+            camera=gt.camera))
+    return preds, gts
+
+
+class TestEvalStage:
+    @pytest.mark.parametrize("space", ["2d", "3d"])
+    @pytest.mark.parametrize("protocol", ["root_aligned", "absolute_with_scale"])
+    @pytest.mark.parametrize("root_valid", [True, False])
+    def test_matches_the_per_record_loop(self, workdir, noisy_corpus, protocol, space, root_valid,
+                                         capsys):
+        preds, gts = noisy_corpus
+        preds[5].valid[0] = root_valid
+        got, expected = eval_outcome(workdir, preds, gts, protocol, space, capsys)
+        assert got == expected
+        if protocol == "root_aligned" and space == "3d" and not root_valid:
+            assert got == (3, "error: root keypoint 0 must be valid in both poses")
+        else:
+            report = json.loads(got)
+            assert report["num_samples"] == 17 and report["num_failed"] == 3
+
+    @pytest.mark.parametrize("space, view, text", [("3d", "xyz_mm", "3D"), ("2d", "px", "pixel")])
+    def test_a_scored_record_without_the_view(self, workdir, noisy_corpus, space, view, text,
+                                              capsys):
+        preds, gts = noisy_corpus
+        setattr(preds[10], view, None)  # a failed pair: never scored, so never read
+        got, expected = eval_outcome(workdir, preds, gts, "root_aligned", space, capsys)
+        assert got == expected and isinstance(got, bytes)
+        setattr(gts[12], view, None)
+        got, expected = eval_outcome(workdir, preds, gts, "root_aligned", space, capsys)
+        assert got == expected == (3, f"error: record carries no {text} coordinates")
+
+    def test_length_mismatch_and_an_all_failed_corpus(self, workdir, noisy_corpus, capsys):
+        preds, gts = noisy_corpus
+        got, expected = eval_outcome(workdir, preds[:4], gts, "absolute_with_scale", "3d", capsys)
+        assert got == expected == (3, "error: 4 predictions vs 20 ground-truth records")
+        for rec in preds:
+            rec.valid[:] = False
+        got, expected = eval_outcome(workdir, preds, gts, "root_aligned", "3d", capsys)
+        assert got == expected == (3, "error: no valid keypoints in the whole corpus")
 
 
 class TestEncodeDecode:
@@ -457,6 +563,62 @@ class TestExitCodes:
         assert main(["normalize", "--in", str(bad), "--out", str(workdir / "o.jsonl")]) == 3
         assert ("renamed.jsonl:1: keypoint 3: name 'not_a_joint', expected 'thumb_dip'"
                 in capsys.readouterr().err)
+
+
+class TestRarelyTakenBranches:
+    def test_numerical_failure_outside_a_stage_loop_is_4(self, workdir, capsys):
+        rec = serialize.read_pose_records(workdir / "gt.jsonl")[0]
+        rec.xyz_mm[5] = rec.xyz_mm[0]  # zero-length index_mcp:palm bone
+        serialize.write_pose_records(workdir / "zero.jsonl", [rec])
+        out = workdir / "n.jsonl"
+        assert main(["normalize", "--in", str(workdir / "zero.jsonl"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: normalization pair (5, 0) is degenerate (|bone| = 0)"]
+        assert not out.exists()
+
+    def test_decode_latent_without_beta_uses_ones(self, workdir):
+        maps = workdir / "latent.h25d"
+        assert main(["encode", "--in", str(workdir / "gt.jsonl"), "--kind", "latent",
+                     "--out", str(maps)]) == 0
+        serialize.write_beta_json(workdir / "beta.json", np.ones(21))
+        default, ones = workdir / "default.jsonl", workdir / "ones.jsonl"
+        assert main(["decode", "--in", str(maps), "--out", str(default)]) == 0
+        assert main(["decode", "--in", str(maps), "--beta", str(workdir / "beta.json"),
+                     "--out", str(ones)]) == 0
+        assert default.read_bytes() == ones.read_bytes()
+
+    def test_shorten_tips_warns_when_views_cannot_follow(self, workdir, capsys):
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:3]
+        records[1].camera = None
+        serialize.write_pose_records(workdir / "nocam.jsonl", records)
+        out = workdir / "s.jsonl"
+        assert main(["shorten-tips", "--in", str(workdir / "nocam.jsonl"), "--factor", "0.9",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "record 1: no camera; px/zr_norm left unchanged and may now be inconsistent"]
+        after = serialize.read_pose_records(out)[1]
+        np.testing.assert_array_equal(after.px, records[1].px)
+        assert not np.array_equal(after.xyz_mm, records[1].xyz_mm)
+
+    def test_pair_by_number_or_unknown_name(self, workdir, capsys):
+        by_name, by_number = workdir / "name.jsonl", workdir / "number.jsonl"
+        base = ["normalize", "--in", str(workdir / "gt.jsonl")]
+        assert main(base + ["--pair", "index_mcp:palm", "--out", str(by_name)]) == 0
+        assert main(base + ["--pair", "5:0", "--out", str(by_number)]) == 0
+        assert by_name.read_bytes() == by_number.read_bytes()
+        assert main(base + ["--pair", "index_mcp:wrist", "--out", str(workdir / "o.jsonl")]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: unknown keypoint name 'wrist'"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "128by128"], "grid must look like 128x128, got '128by128'"),
+        (["--index", "20"], "--index 20 out of range for 20 records"),
+        (["--index", "-1"], "--index -1 out of range for 20 records"),
+    ])
+    def test_encode_bad_grid_or_index_is_3(self, workdir, flags, message, capsys):
+        out = workdir / "m.h25d"
+        assert main(["encode", "--in", str(workdir / "gt.jsonl"), *flags, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestThousandPosePipeline:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -251,6 +252,37 @@ class TestEvaluate:
         with pytest.raises(ShapeMismatchError, match=r"\(K, D\) arrays"):
             evaluate(pts, pts, [None, None], "absolute_with_scale", "3d")
 
+    def test_root_aligned_translates_3d_only(self):
+        gt = np.random.default_rng(4).integers(-50, 50, size=(3, 21, 3)).astype(float)
+        pred = gt + [5.0, -2.0, 40.0]  # integers, so the alignment is exact
+        assert evaluate(pred, gt, [None] * 3, "root_aligned", "3d").epe_mean == 0.0
+        shifted = evaluate(pred, gt, [None] * 3, "absolute_with_scale", "3d")
+        assert shifted.epe_mean == pytest.approx(np.sqrt(5**2 + 2**2 + 40**2), rel=1e-12)
+        flat = [evaluate(pred[..., :2], gt[..., :2], [None] * 3, protocol, "2d")
+                for protocol in ("root_aligned", "absolute_with_scale")]
+        assert dataclasses.replace(flat[0], protocol="absolute_with_scale") == flat[1]
+        assert flat[0].epe_mean > 0
+
+    def test_root_aligned_needs_a_valid_root_in_every_scored_pose(self):
+        pts = [np.zeros((21, 3))] * 3
+        masks = [np.ones(21, dtype=bool), np.ones(21, dtype=bool), np.zeros(21, dtype=bool)]
+        masks[2][0] = False  # unscored: its root is never read
+        evaluate(pts, pts, masks, "root_aligned", "3d")
+        masks[1] = masks[1].copy()
+        masks[1][0] = False
+        with pytest.raises(InvalidRootError, match="^root keypoint 0 must be valid in both poses$"):
+            evaluate(pts, pts, masks, "root_aligned", "3d")
+        evaluate(pts, pts, masks, "absolute_with_scale", "3d")
+        evaluate([p[:, :2] for p in pts], [p[:, :2] for p in pts], masks, "root_aligned", "2d")
+
+    @pytest.mark.parametrize("protocol", ["root_aligned", "absolute_with_scale"])
+    def test_corpus_and_mask_count_mismatch(self, protocol):
+        pts = [np.zeros((21, 3)), np.ones((21, 3))]
+        with pytest.raises(ShapeMismatchError, match="valid masks"):
+            evaluate(pts, pts, [None] * 3, protocol, "3d")
+        with pytest.raises(ShapeMismatchError, match="matching"):
+            evaluate(pts, pts[:1], [None] * 2, protocol, "3d")
+
     @pytest.mark.parametrize("masks", [[], [np.zeros(21, dtype=bool)] * 2])
     def test_nothing_valid_in_the_corpus(self, masks):
         pts = [np.zeros((21, 3))] * len(masks)
@@ -347,3 +379,47 @@ def test_evaluate_matches_per_pose_pooling(seed, n, k, space, mask_kind, placeho
     args = (list(pred), list(gt), masks, "absolute_with_scale", space, thresholds)
     expected = outcome(pooled_reference, *args, num_failed=n // 3)
     assert outcome(evaluate, *args, num_failed=n // 3) == expected
+
+
+def aligned_reference(pred_points, gt_points, valid_masks, thresholds=None, num_failed=0):
+    """Root alignment as the eval stage used to do it: a per-pose `align_root`
+    on every pose with a valid keypoint, then an `evaluate` that only labels."""
+    aligned = []
+    for pred, gt, mask in zip(pred_points, gt_points, valid_masks):
+        mask = np.ones(len(pred), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if mask.any():
+            pred = align_root(Pose3D(xyz=pred, valid=mask), Pose3D(xyz=gt, valid=mask)).xyz
+        aligned.append(pred)
+    report = evaluate(aligned, gt_points, valid_masks, "absolute_with_scale", "3d", thresholds,
+                      num_failed=num_failed)
+    return dataclasses.replace(report, protocol="root_aligned")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    k=st.integers(1, 21),
+    mask_kind=st.sampled_from(["none", "random", "all_false_rows", "invalid_root"]),
+    placeholder=st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+    thresholds=st.sampled_from([None, (0.0, 0.5, 1.0, 4.0)]),
+)
+def test_root_aligned_evaluate_matches_per_pose_align_root(seed, n, k, mask_kind, placeholder,
+                                                           thresholds):
+    rng = np.random.default_rng(seed)
+    gt = rng.normal(scale=50.0, size=(n, k, 3)) + [0.0, 0.0, 600.0]
+    pred = gt + rng.normal(scale=20.0, size=(n, 1, 3)) + rng.normal(scale=5.0, size=(n, k, 3))
+    if mask_kind == "none":
+        masks = [None] * n
+    else:
+        valid = rng.random((n, k)) < rng.uniform(0.2, 1.0)
+        valid[:, 0] = True
+        if mask_kind == "all_false_rows":
+            valid[rng.random(n) < 0.4] = False  # their placeholder roots are never read
+        elif mask_kind == "invalid_root" and n:
+            valid[rng.integers(n), 0] = False
+        pred[~valid] = gt[~valid] = placeholder
+        masks = [row if rng.random() < 0.7 else row.tolist() for row in valid]
+    args = (list(pred), list(gt), masks)
+    expected = outcome(aligned_reference, *args, thresholds, num_failed=n // 2)
+    assert outcome(evaluate, *args, "root_aligned", "3d", thresholds, num_failed=n // 2) == expected

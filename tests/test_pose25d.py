@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hand25d.camera import CameraIntrinsics, project
-from hand25d.errors import ConfigError, ZeroBoneError
+from hand25d.errors import ConfigError, NoValidKeypointsError, ZeroBoneError
 from hand25d.pose25d import (
     NormalizationConfig,
     normalization_scale,
@@ -107,6 +107,20 @@ class TestTo25D:
         xyz[:, 2] = 700.0
         p25 = to_25d(Pose3D(xyz=xyz), CAM)
         np.testing.assert_array_equal(p25.zr, np.zeros(21))
+
+    @pytest.mark.parametrize("invalid", [5, 0])  # the index_mcp end of the pair, then the palm
+    def test_invalid_pair_keypoint_raises(self, invalid):
+        valid = np.ones(21, dtype=bool)
+        valid[invalid] = False
+        with pytest.raises(NoValidKeypointsError, match=r"^normalization pair \(5, 0\) must"):
+            to_25d(Pose3D(xyz=hand_like_pose(4).xyz, valid=valid), CAM)
+
+    def test_invalid_root_raises(self):
+        valid = np.ones(21, dtype=bool)
+        valid[0] = False
+        cfg = NormalizationConfig(pair=(12, 11))  # a pair away from the root
+        with pytest.raises(NoValidKeypointsError, match="^root keypoint 0 must be valid"):
+            to_25d(Pose3D(xyz=hand_like_pose(4).xyz, valid=valid), CAM, cfg)
 
     def test_validity_propagates(self):
         pose = hand_like_pose(6)

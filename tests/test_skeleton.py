@@ -172,6 +172,18 @@ class TestShortenFingertips:
         non_tips = [k for k in range(21) if k not in FINGERTIP_INDICES]
         np.testing.assert_array_equal(out.xyz[non_tips], pose.xyz[non_tips])
 
+    def test_tip_with_an_invalid_end_stays_in_place(self):
+        skel = canonical_skeleton()
+        pose = random_pose(9)
+        valid = np.ones(21, dtype=bool)
+        valid[[3, 8]] = False  # thumb DIP (parent of tip 4) and index tip
+        xyz = np.where(valid[:, None], pose.xyz, 0.0)  # placeholders at the invalid rows
+        out = shorten_fingertips(Pose3D(xyz=xyz, valid=valid), 0.9, skel)
+        np.testing.assert_array_equal(out.xyz[[3, 4, 8]], xyz[[3, 4, 8]])
+        moved = shorten_fingertips(Pose3D(xyz=xyz), 0.9, skel)
+        np.testing.assert_array_equal(out.xyz[[12, 16, 20]], moved.xyz[[12, 16, 20]])
+        np.testing.assert_array_equal(out.valid, valid)
+
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_bad_factor(self, factor):
         with pytest.raises(BadFactorError):
