@@ -58,7 +58,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
     idx = []
     for part in parts:
         part = part.strip()
-        if part.isdigit():
+        if part.isdecimal():  # exactly the digits int() reads; "²".isdigit() is true
             idx.append(int(part))
         else:
             try:

@@ -606,8 +606,9 @@ class TestRarelyTakenBranches:
         assert main(base + ["--pair", "index_mcp:palm", "--out", str(by_name)]) == 0
         assert main(base + ["--pair", "5:0", "--out", str(by_number)]) == 0
         assert by_name.read_bytes() == by_number.read_bytes()
-        assert main(base + ["--pair", "index_mcp:wrist", "--out", str(workdir / "o.jsonl")]) == 3
-        assert capsys.readouterr().err.splitlines() == ["error: unknown keypoint name 'wrist'"]
+        for pair, name in [("index_mcp:wrist", "wrist"), ("\u00b2:0", "\u00b2")]:  # "²" is no int
+            assert main(base + ["--pair", pair, "--out", str(workdir / "o.jsonl")]) == 3
+            assert capsys.readouterr().err.splitlines() == [f"error: unknown keypoint name {name!r}"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--grid", "128by128"], "grid must look like 128x128, got '128by128'"),
