@@ -252,6 +252,12 @@ class TestEvaluate:
         with pytest.raises(ShapeMismatchError, match=r"\(K, D\) arrays"):
             evaluate(pts, pts, [None, None], "absolute_with_scale", "3d")
 
+    @pytest.mark.parametrize("protocol", ["root_aligned", "absolute_with_scale"])
+    def test_zero_length_poses_are_not_two_dimensional(self, protocol):
+        pts = [np.zeros(0), np.zeros(0)]
+        with pytest.raises(ShapeMismatchError, match=r"\(K, D\) arrays"):
+            evaluate(pts, pts, [None, None], protocol, "3d")
+
     def test_root_aligned_translates_3d_only(self):
         gt = np.random.default_rng(4).integers(-50, 50, size=(3, 21, 3)).astype(float)
         pred = gt + [5.0, -2.0, 40.0]  # integers, so the alignment is exact
