@@ -210,9 +210,7 @@ def _cmd_decode(args) -> int:
                 f"beta has {beta.shape[0]} entries but the stack has {stack.num_keypoints}"
             )
         p25 = decode_latent(stack, SpreadParams(beta=beta))
-    record = serialize.PoseRecord(
-        valid=np.ones(p25.num_keypoints, dtype=bool), px=p25.xy, zr_norm=p25.zr
-    )
+    record = serialize.PoseRecord(valid=p25.valid, px=p25.xy, zr_norm=p25.zr)
     serialize.write_pose_records(args.out, [record])
     return 0
 

@@ -110,8 +110,8 @@ def encode_direct(
     the keypoint; depth maps are zr_k times the likelihood map.
 
     exponent="l1" swaps in the unsquared distance for fidelity
-    experiments with sharper, non-Gaussian targets. Invalid keypoints get
-    all-zero maps.
+    experiments with sharper, non-Gaussian targets. Exactly the invalid
+    keypoints get all-zero maps; a valid one whose map underflows raises.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
@@ -134,13 +134,16 @@ def encode_direct(
         d2 = (xs - x) ** 2 + (ys - y) ** 2
         arg = d2 if exponent == "l2sq" else np.sqrt(d2)
         like[i] = np.exp(-arg / (sigma * sigma))
+        if like[i, round(y), round(x)] == 0.0:  # the map peaks at the nearest pixel
+            raise ConfigError(f"sigma {sigma:g} is too small: keypoint {i}'s map underflows to 0")
         depth[i] = p25.zr[i] * like[i]
     return HeatmapStack(kind="direct", likelihood=like, depth=depth)
 
 
 def decode_direct(stack: HeatmapStack) -> Pose25D:
     """Argmax decode: keypoint at the maximum-likelihood pixel (ties break
-    to the lowest row-major index), zr read from the depth map there."""
+    to the lowest row-major index), zr read from the depth map there; a
+    keypoint whose map is all zero (invalid in encode_direct) is invalid."""
     if stack.kind != "direct":
         raise ConfigError("decode_direct expects a direct-kind stack")
     k, h, w = stack.likelihood.shape
@@ -149,7 +152,7 @@ def decode_direct(stack: HeatmapStack) -> Pose25D:
     ys, xs = np.divmod(idx, w)
     xy = np.stack([xs, ys], axis=1).astype(np.float64)
     zr = stack.depth.reshape(k, h * w)[np.arange(k), idx]
-    return Pose25D(xy=xy, zr=zr)
+    return Pose25D(xy=xy, zr=zr, valid=flat[np.arange(k), idx] > 0)
 
 
 def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:

@@ -60,9 +60,8 @@ def to_25d(
     pose: Pose3D,
     cam: CameraIntrinsics,
     cfg: NormalizationConfig = NormalizationConfig(),
-    root: int = ROOT_INDEX,
 ) -> Pose25D:
-    """Project to pixels and attach scale-normalized root-relative depths.
+    """Project to pixels and attach normalized depths relative to the palm (ROOT_INDEX).
 
     The output is identical for pose and lambda*pose (lambda > 0): the
     projection is scale invariant and the depths are normalized by the
@@ -70,10 +69,10 @@ def to_25d(
     """
     if not (pose.valid[cfg.pair[0]] and pose.valid[cfg.pair[1]]):
         raise NoValidKeypointsError(f"normalization pair {cfg.pair} must be valid in the 3D pose")
-    if not pose.valid[root]:
-        raise NoValidKeypointsError(f"root keypoint {root} must be valid in the 3D pose")
+    if not pose.valid[ROOT_INDEX]:
+        raise NoValidKeypointsError(f"root keypoint {ROOT_INDEX} must be valid in the 3D pose")
     p2d, z = project(pose, cam)
     s = normalization_scale(pose, cfg)
     z_hat = (cfg.c / s) * z
-    zr = z_hat - z_hat[root]
-    return Pose25D(xy=p2d.xy, zr=zr, root=root, valid=pose.valid.copy())
+    zr = z_hat - z_hat[ROOT_INDEX]
+    return Pose25D(xy=p2d.xy, zr=zr, root=ROOT_INDEX, valid=pose.valid.copy())

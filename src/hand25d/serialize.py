@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .camera import CameraIntrinsics, project
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
 from .skeleton import BoneStats, Skeleton, canonical_skeleton
@@ -83,11 +83,16 @@ class PoseRecord:
 
     def __post_init__(self):
         self.valid = np.asarray(self.valid, dtype=bool)
+        if self.valid.ndim != 1:
+            raise ShapeMismatchError(f"validity mask shape {self.valid.shape} is not (K,)")
         k = self.valid.shape[0]
         for key, width, _ in _VIEWS:
             if getattr(self, key) is not None:
                 arr = np.asarray(getattr(self, key), dtype=np.float64)
-                setattr(self, key, arr.reshape((k, width) if width else k))
+                shape = (k, width) if width else (k,)
+                if arr.shape != shape:
+                    raise ShapeMismatchError(f"{key} shape {arr.shape} != {shape}")
+                setattr(self, key, arr)
         if self.side not in ("left", "right"):
             raise DataFormatError(f"side must be 'left' or 'right', got {self.side!r}")
 
@@ -106,8 +111,8 @@ class PoseRecord:
         return Pose25D(xy=self.px.copy(), zr=self.zr_norm.copy(), valid=self.valid.copy())
 
 
-def record_to_dict(rec: PoseRecord, skel: Skeleton | None = None) -> dict:
-    skel = skel or canonical_skeleton()
+def record_to_dict(rec: PoseRecord) -> dict:
+    skel = canonical_skeleton()
     if rec.num_keypoints != skel.num_keypoints:
         raise DataFormatError("record keypoint count does not match the skeleton")
     # .tolist() yields Python floats, whose repr is that of float(arr[i, j])

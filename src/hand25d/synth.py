@@ -40,6 +40,11 @@ FINGER_SPLAY_DEG = {"thumb": -65.0, "index": -18.0, "middle": 0.0, "ring": 15.0,
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=150.0, fy=150.0, cx=63.5, cy=63.5)
 
+_MCP_FLEXION_DEG = (0.0, 70.0)
+_PIP_FLEXION_DEG = (0.0, 95.0)
+_DIP_FLEXION_DEG = (0.0, 70.0)
+_ABDUCTION_DEG = (-12.0, 12.0)
+
 _MAX_REDRAWS = 1000
 _EDGE_MARGIN_PX = 1.0
 _ROOT_GAP_FRACTION = 0.05
@@ -53,10 +58,6 @@ class SynthConfig:
     depth_range: tuple[float, float] = (450.0, 1100.0)
     bone_stats: BoneStats | None = None
     bone_jitter: float = 0.15
-    mcp_flexion_deg: tuple[float, float] = (0.0, 70.0)
-    pip_flexion_deg: tuple[float, float] = (0.0, 95.0)
-    dip_flexion_deg: tuple[float, float] = (0.0, 70.0)
-    abduction_deg: tuple[float, float] = (-12.0, 12.0)
     normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
 
     def __post_init__(self):
@@ -68,14 +69,6 @@ class SynthConfig:
             raise ConfigError(f"bone_stats must give {bones} lengths")
         if not 0 <= self.bone_jitter < 1:
             raise ConfigError("bone jitter must be in [0, 1)")
-        for lo, hi in (
-            self.mcp_flexion_deg,
-            self.pip_flexion_deg,
-            self.dip_flexion_deg,
-            self.abduction_deg,
-        ):
-            if hi < lo:
-                raise ConfigError("articulation ranges must be non-empty")
 
 
 def _rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
@@ -100,14 +93,14 @@ def _articulated_hand(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
         else:
             base = np.array(DEFAULT_BONE_MM[finger])
             lengths = base * rng.uniform(1 - cfg.bone_jitter, 1 + cfg.bone_jitter, 4)
-        splay = np.deg2rad(FINGER_SPLAY_DEG[finger] + rng.uniform(*cfg.abduction_deg))
+        splay = np.deg2rad(FINGER_SPLAY_DEG[finger] + rng.uniform(*_ABDUCTION_DEG))
         base_dir = np.array([np.sin(splay), np.cos(splay), 0.0])
         flex = np.deg2rad(
             [
                 0.0,
-                rng.uniform(*cfg.mcp_flexion_deg),
-                rng.uniform(*cfg.pip_flexion_deg),
-                rng.uniform(*cfg.dip_flexion_deg),
+                rng.uniform(*_MCP_FLEXION_DEG),
+                rng.uniform(*_PIP_FLEXION_DEG),
+                rng.uniform(*_DIP_FLEXION_DEG),
             ]
         )
         cumulative = np.cumsum(flex)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hand25d import serialize
+from hand25d.camera import CameraIntrinsics
 from hand25d.cli import main
 from hand25d.errors import DataFormatError, Hand25DError
+from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import align_root, epe, evaluate
 from hand25d.skeleton import bone_lengths, canonical_skeleton
 from hand25d.synth import SynthConfig, synth_bone_stats
@@ -321,6 +323,47 @@ class TestEncodeDecode:
         assert errors.max() < 0.05
         np.testing.assert_allclose(back.zr_norm, original.zr_norm, atol=1e-9)
 
+    def test_invalid_keypoints_stay_invalid_through_direct_maps(self, workdir):
+        norm = workdir / "norm.jsonl"
+        assert main(["normalize", "--in", str(workdir / "gt.jsonl"), "--out", str(norm)]) == 0
+        rec = serialize.read_pose_records(norm)[0]
+        rec.valid[[8, 12]] = False
+        serialize.write_pose_records(workdir / "partial.jsonl", [rec])
+        maps, direct, latent = workdir / "m.h25d", workdir / "d.jsonl", workdir / "l.jsonl"
+        encode = ["encode", "--in", str(workdir / "partial.jsonl"), "--out", str(maps)]
+        assert main(encode) == 0
+        assert main(["decode", "--in", str(maps), "--out", str(direct)]) == 0
+        back = serialize.read_pose_records(direct)[0]
+        np.testing.assert_array_equal(back.valid, rec.valid)
+        assert epe(back.px, rec.px, valid=rec.valid)[0].max() <= 0.5 * np.sqrt(2.0)
+        # a flat softmax is a prediction, so latent stacks decode all-valid
+        assert main(encode + ["--kind", "latent"]) == 0
+        assert main(["decode", "--in", str(maps), "--out", str(latent)]) == 0
+        assert serialize.read_pose_records(latent)[0].valid.all()
+
+    @pytest.mark.parametrize("flags", [
+        ["--exponent", "l1"],
+        ["--grid", "64x64", "--out-of-grid", "clamp"],
+        ["--kind", "latent", "--amplitude", "5"],
+    ], ids=["l1", "clamp", "latent-amplitude"])
+    def test_encode_flags_match_the_library(self, workdir, flags):
+        p25 = serialize.read_pose_records(workdir / "gt.jsonl")[0].pose25d()
+        grid = HeatmapGrid(width=128, height=128)
+        if flags[0] == "--exponent":
+            stack = encode_direct(p25, grid, exponent="l1")
+        elif flags[0] == "--grid":
+            grid = HeatmapGrid(width=64, height=64)
+            assert (p25.xy > 63).any()  # the default, out_of_grid="error", would exit 3
+            stack = encode_direct(p25, grid, out_of_grid="clamp")
+        else:
+            like = 5.0 * encode_direct(p25, grid, out_of_grid="clamp").likelihood
+            depth = np.broadcast_to(p25.zr[:, None, None], like.shape)
+            stack = HeatmapStack(kind="latent", likelihood=like, depth=depth)
+        expected, out = workdir / "expected.h25d", workdir / "out.h25d"
+        serialize.write_h25d(expected, stack)
+        assert main(["encode", "--in", str(workdir / "gt.jsonl"), *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestShortenTips:
     def test_factor_applied_and_views_reprojected(self, workdir):
@@ -619,6 +662,118 @@ class TestRarelyTakenBranches:
         out = workdir / "m.h25d"
         assert main(["encode", "--in", str(workdir / "gt.jsonl"), *flags, "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
+def _decode_bad_h25d(workdir, offset, data):
+    """decode of a valid 21x4x4 direct stack whose bytes from offset on
+    are replaced by data (b"" cuts the file there)."""
+    path = workdir / "bad.h25d"
+    serialize.write_h25d(path, HeatmapStack(kind="direct", likelihood=np.zeros((21, 4, 4)),
+                                            depth=np.zeros((21, 4, 4))))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(data) if data else None] = data
+    path.write_bytes(bytes(raw))
+    return ["decode", "--in", str(path)]
+
+
+def _normalize_changed_record(workdir, change):
+    obj = json.loads((workdir / "gt.jsonl").read_text().splitlines()[0])
+    change(obj)
+    path = workdir / "changed.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    return ["normalize", "--in", str(path)]
+
+
+def _pixels_only(workdir, **changes):
+    """A file of gt record 0 without its xyz_mm view, with the given field changes."""
+    rec = serialize.read_pose_records(workdir / "gt.jsonl")[0]
+    fields = dict(px=rec.px, zr_norm=rec.zr_norm, camera=rec.camera)
+    path = workdir / "pixels.jsonl"
+    serialize.write_pose_records(path, [serialize.PoseRecord(rec.valid, **fields | changes)])
+    return path
+
+
+def _reconstruct_skewed_left_pixels(workdir):
+    skewed = CameraIntrinsics(fx=150.0, fy=150.0, cx=63.5, cy=63.5, skew=0.5)
+    return ["reconstruct", "--in", str(_pixels_only(workdir, side="left", camera=skewed))]
+
+
+def _shorten_tips_without_xyz(workdir):
+    return ["shorten-tips", "--in", str(_pixels_only(workdir))]
+
+
+def _normalize_array_line(workdir):
+    path = workdir / "array.jsonl"
+    path.write_text("[1, 2]\n")
+    return ["normalize", "--in", str(path)]
+
+
+def _decode_latent_with_beta(workdir, beta):
+    maps = workdir / "latent.h25d"
+    assert main(["encode", "--in", str(workdir / "gt.jsonl"), "--kind", "latent",
+                 "--out", str(maps)]) == 0
+    path = workdir / "beta.json"
+    path.write_text(json.dumps(beta))
+    return ["decode", "--in", str(maps), "--beta", str(path)]
+
+
+def _encode_empty_file(workdir):
+    (workdir / "empty.jsonl").write_text("")
+    return ["encode", "--in", str(workdir / "empty.jsonl")]
+
+
+def _set_camera(obj):
+    obj["camera"] = [150.0, 150.0]
+
+
+def _set_negative_fx(obj):
+    obj["camera"]["fx"] = -1
+
+
+# case -> (argv without --out, built in the workdir; the end of the one stderr line)
+REJECTIONS = {
+    "h25d-shorter-than-header": (lambda w: _decode_bad_h25d(w, 10, b""),
+                                 "file too short for an H25D header"),
+    "h25d-version-2": (lambda w: _decode_bad_h25d(w, 4, struct.pack("<I", 2)),
+                       "unsupported H25D version 2"),
+    "h25d-kind-byte-2": (lambda w: _decode_bad_h25d(w, 20, b"\x02"),
+                         "unknown heatmap kind byte 2"),
+    "h25d-nan-payload": (lambda w: _decode_bad_h25d(w, 24 + 4 * 100, struct.pack("<f", np.nan)),
+                         "heatmap payload contains non-finite values"),
+    "left-pixels-skewed-camera": (_reconstruct_skewed_left_pixels,
+                                  "pixel-only flip requires zero skew"),
+    "jsonl-line-is-an-array": (_normalize_array_line,
+                               "array.jsonl:1: pose record must be a JSON object"),
+    "camera-not-an-object": (lambda w: _normalize_changed_record(w, _set_camera),
+                             "changed.jsonl:1: camera must be a JSON object"),
+    "camera-negative-fx": (lambda w: _normalize_changed_record(w, _set_negative_fx),
+                           "changed.jsonl:1: focal lengths must be positive"),
+    "beta-empty": (lambda w: _decode_latent_with_beta(w, []),
+                   "beta JSON must be a non-empty array"),
+    "beta-wrong-count": (lambda w: _decode_latent_with_beta(w, [1.0, 1.0, 1.0]),
+                         "beta has 3 entries but the stack has 21"),
+    "pair-without-colon": (lambda w: ["normalize", "--in", str(w / "gt.jsonl"), "--pair", "palm"],
+                           "pair must look like 'index_mcp:palm', got 'palm'"),
+    "thresholds-without-count": (
+        lambda w: ["eval", "--pred", str(w / "gt.jsonl"), "--gt", str(w / "gt.jsonl"),
+                   "--protocol", "root_aligned", "--space", "3d", "--thresholds", "20:50"],
+        "thresholds must look like 20:50:31, got '20:50'"),
+    "encode-empty-file": (_encode_empty_file, "no records to encode"),
+    "shorten-tips-without-xyz": (_shorten_tips_without_xyz, "record 0: shorten-tips needs xyz_mm"),
+}
+
+
+class TestRejectionsReachedFromTheCli:
+    @pytest.mark.parametrize("case", list(REJECTIONS))
+    def test_exits_3_with_its_message(self, workdir, case, capsys):
+        build, message = REJECTIONS[case]
+        out = workdir / "out.file"
+        argv = build(workdir) + ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
         assert not out.exists()
 
 

@@ -80,6 +80,14 @@ class TestEncodeDirect:
         with pytest.raises(ConfigError, match="finite and positive"):
             encode_direct(pose_at([[7.0, 3.0]], [0.4]), GRID, sigma=sigma)
 
+    @pytest.mark.parametrize("exponent", ["l2sq", "l1"])
+    def test_valid_map_that_underflows_is_rejected(self, exponent):
+        # half a pixel off the lattice the peak is exp(-0.25 / sigma^2), or
+        # exp(-0.5 / sigma^2) for l1: both 0.0 at sigma 0.01
+        with pytest.raises(ConfigError, match="keypoint 1's map underflows to 0"):
+            encode_direct(pose_at([[3.0, 3.0], [7.5, 3.0]], [0.0, 0.0]), GRID, sigma=0.01,
+                          exponent=exponent)
+
     def test_invalid_keypoints_zero_maps(self):
         pose = Pose25D(xy=[[5.0, 5.0], [6.0, 6.0]], zr=[0.1, 0.2], valid=[True, False])
         stack = encode_direct(pose, GRID)
@@ -125,6 +133,24 @@ class TestDecodeDirect:
         stack = HeatmapStack(kind="latent", likelihood=np.zeros((1, 4, 4)), depth=np.zeros((1, 4, 4)))
         with pytest.raises(ConfigError):
             decode_direct(stack)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_validity_round_trip_with_random_mask(self, seed):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(21) < 0.6
+        xy = np.column_stack([rng.uniform(0, 31, 21), rng.uniform(0, 23, 21)])
+        pose = Pose25D(xy=xy, zr=rng.normal(size=21), valid=valid)
+        decoded = decode_direct(encode_direct(pose, GRID, sigma=rng.uniform(0.5, 8.0)))
+        np.testing.assert_array_equal(decoded.valid, valid)
+        assert np.linalg.norm(decoded.xy[valid] - xy[valid], axis=1).max() <= 0.5 * np.sqrt(2.0)
+
+    def test_all_zero_map_is_invalid_any_positive_value_valid(self):
+        like = np.zeros((3, 4, 5))
+        like[1, 2, 3] = 1e-300
+        like[2, 0, 0] = 1.0
+        decoded = decode_direct(HeatmapStack(kind="direct", likelihood=like, depth=0 * like))
+        np.testing.assert_array_equal(decoded.valid, [False, True, True])
+        np.testing.assert_array_equal(decoded.xy[1], [3.0, 2.0])
 
 
 class TestSpatialSoftmax:

@@ -1,5 +1,7 @@
 """The public API's annotations resolve, so typing.get_type_hints works
-on every exported name and on the methods of exported classes."""
+on every exported name and on the methods of exported classes; settings
+that no caller sets are constants, not parameters."""
+import dataclasses
 import inspect
 import typing
 
@@ -25,3 +27,13 @@ def _annotated():
 @pytest.mark.parametrize("obj", [pytest.param(obj, id=label) for label, obj in _annotated()])
 def test_type_hints_resolve(obj):
     typing.get_type_hints(obj)
+
+
+def test_fixed_settings_are_not_parameters():
+    """The synth articulation ranges, to_25d's root (the palm) and
+    record_to_dict's skeleton (the canonical one) are fixed."""
+    fields = [f.name for f in dataclasses.fields(hand25d.SynthConfig)]
+    assert fields == ["seed", "camera", "grid", "depth_range", "bone_stats", "bone_jitter",
+                      "normalization"]
+    assert list(inspect.signature(hand25d.to_25d).parameters) == ["pose", "cam", "cfg"]
+    assert list(inspect.signature(hand25d.serialize.record_to_dict).parameters) == ["rec"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hand25d import serialize
 from hand25d.camera import CameraIntrinsics, project
-from hand25d.errors import ConfigError, DataFormatError
+from hand25d.errors import ConfigError, DataFormatError, Hand25DError, ShapeMismatchError
 from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import evaluate
 from hand25d.skeleton import BoneStats, canonical_skeleton
@@ -449,3 +449,34 @@ class TestStrictSidecarInts:
         read = {"skeleton": serialize.read_skeleton_json, "report": serialize.read_report_json}
         with pytest.raises(DataFormatError, match=re.escape(message)):
             read[reader](path)
+
+
+class TestPoseRecordShapes:
+    """Views must come in their (K, ...) shape; nothing is reshaped."""
+
+    def test_transposed_px_is_rejected_not_scrambled(self):
+        # a reshape would read this (2, 21) array's row 1 as [2, 3]
+        with pytest.raises(ShapeMismatchError, match=re.escape("px shape (2, 21) != (21, 2)")):
+            serialize.PoseRecord(valid=np.ones(21, bool), px=np.arange(42.0).reshape(2, 21))
+
+    def test_wrong_size_is_a_library_error(self):
+        with pytest.raises(Hand25DError, match=re.escape("px shape (10,) != (21, 2)")):
+            serialize.PoseRecord(valid=np.ones(21, bool), px=np.zeros(10))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("valid", np.ones((21, 1), bool), "validity mask shape (21, 1) is not (K,)"),
+        ("valid", True, "validity mask shape () is not (K,)"),
+        ("px", np.zeros(42), "px shape (42,) != (21, 2)"),
+        ("px", np.zeros((21, 3)), "px shape (21, 3) != (21, 2)"),
+        ("xyz_mm", np.zeros(63), "xyz_mm shape (63,) != (21, 3)"),
+        ("xyz_mm", np.zeros((3, 21)), "xyz_mm shape (3, 21) != (21, 3)"),
+        ("zr_norm", np.zeros((21, 1)), "zr_norm shape (21, 1) != (21,)"),
+        ("zr_norm", np.zeros(20), "zr_norm shape (20,) != (21,)"),
+    ])
+    def test_each_view_shape_is_checked(self, field, value, message):
+        views = {"valid": np.ones(21, bool), "px": np.zeros((21, 2)),
+                 "xyz_mm": np.zeros((21, 3)), "zr_norm": np.zeros(21)}
+        views[field] = value
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            serialize.PoseRecord(**views)
+
