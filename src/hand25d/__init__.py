@@ -7,7 +7,7 @@ absolute 3D pose is recovered exactly up to the global scale, which a
 least-squares fit against mean bone lengths supplies.
 """
 
-from .camera import AffineMap2D, CameraIntrinsics, backproject, crop_transform, project
+from .camera import CameraIntrinsics, backproject, project
 from .errors import Hand25DError
 from .gradcheck import GradcheckReport, gradcheck
 from .heatmap import (
@@ -34,7 +34,7 @@ from .metrics import (
     pck_curve,
     pckh_curve,
 )
-from .objective import LossConfig, SampleAnnotations, heatmap_loss_direct, pose_loss, sample_mixer
+from .objective import LossConfig, SampleAnnotations, pose_loss
 from .pose25d import NormalizationConfig, normalization_scale, normalize_pose, to_25d
 from .reconstruct import (
     QuadraticCoeffs,
@@ -58,7 +58,6 @@ from .types import Pose2D, Pose3D, Pose25D
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap2D",
     "BoneStats",
     "CameraIntrinsics",
     "EvalReport",
@@ -82,7 +81,6 @@ __all__ = [
     "backproject",
     "bone_lengths",
     "canonical_skeleton",
-    "crop_transform",
     "decode_direct",
     "decode_latent",
     "depth_readout",
@@ -91,7 +89,6 @@ __all__ = [
     "evaluate",
     "gen_pose",
     "gradcheck",
-    "heatmap_loss_direct",
     "mean_bone_stats",
     "normalization_scale",
     "normalize_pose",
@@ -102,7 +99,6 @@ __all__ = [
     "quadratic_coefficients",
     "reconstruct_pose",
     "recover_scale",
-    "sample_mixer",
     "shorten_fingertips",
     "softargmax",
     "solve_zroot",

@@ -1,4 +1,4 @@
-"""Pinhole camera model and crop-window coordinate transforms.
+"""Pinhole camera model: projection and back-projection.
 
 Pixel convention: (0, 0) is the center of the top-left pixel and
 coordinates are continuous, so sub-pixel positions are meaningful
@@ -14,7 +14,6 @@ from .errors import (
     BadDepthError,
     BehindCameraError,
     ConfigError,
-    DegenerateBoxError,
     NonFiniteError,
     ShapeMismatchError,
 )
@@ -38,38 +37,6 @@ class CameraIntrinsics:
             raise NonFiniteError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("focal lengths must be positive")
-
-
-@dataclass(frozen=True)
-class AffineMap2D:
-    """2x3 affine map on image points, row vector convention p' = A p + t."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        if m.shape != (2, 3):
-            raise ShapeMismatchError(f"affine map must be 2x3, got {m.shape}")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) <= 1e-12:
-            raise DegenerateBoxError("affine map is singular")
-        object.__setattr__(self, "m", m)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return pts @ self.m[:, :2].T + self.m[:, 2]
-
-    def invert(self) -> "AffineMap2D":
-        a = self.m[:, :2]
-        t = self.m[:, 2]
-        a_inv = np.linalg.inv(a)
-        return AffineMap2D(np.hstack([a_inv, (-a_inv @ t)[:, None]]))
-
-    def compose(self, other: "AffineMap2D") -> "AffineMap2D":
-        """Return the map equivalent to applying `other` first, then self."""
-        a = self.m[:, :2] @ other.m[:, :2]
-        t = self.m[:, :2] @ other.m[:, 2] + self.m[:, 2]
-        return AffineMap2D(np.hstack([a, t[:, None]]))
 
 
 def project(pose: Pose3D, cam: CameraIntrinsics) -> tuple[Pose2D, np.ndarray]:
@@ -117,34 +84,3 @@ def _lift(rays: np.ndarray, z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     xyz[valid, :2] = rays[valid] * z[valid, None]
     xyz[valid, 2] = z[valid]
     return xyz
-
-
-def crop_transform(
-    bbox: tuple[float, float, float, float],
-    out_size: tuple[int, int],
-    fill_fraction: float = 0.7,
-) -> AffineMap2D:
-    """Similarity map from source pixels to crop pixels.
-
-    The bbox is expanded to a square window sized so that the bbox diagonal
-    spans `fill_fraction` of the shorter output side; the window center
-    maps to the output center. Aspect ratio is preserved.
-    """
-    x0, y0, w, h = bbox
-    if not (w > 0 and h > 0):
-        raise DegenerateBoxError(f"bbox sides must be positive, got w={w}, h={h}")
-    if not 0 < fill_fraction <= 1:
-        raise ConfigError("fill_fraction must be in (0, 1]")
-    out_w, out_h = out_size
-    diag = float(np.hypot(w, h))
-    scale = fill_fraction * min(out_w, out_h) / diag
-    cx_b = x0 + w / 2.0
-    cy_b = y0 + h / 2.0
-    return AffineMap2D(
-        np.array(
-            [
-                [scale, 0.0, out_w / 2.0 - scale * cx_b],
-                [0.0, scale, out_h / 2.0 - scale * cy_b],
-            ]
-        )
-    )

@@ -169,24 +169,20 @@ def _cmd_encode(args) -> int:
     p25 = records[args.index].pose25d()
     width, height = _parse_grid(args.grid)
     grid = HeatmapGrid(width=width, height=height)
-    if args.kind == "direct":
-        stack = encode_direct(
-            p25, grid, sigma=args.sigma, exponent=args.exponent, out_of_grid=args.out_of_grid
-        )
-    else:
-        stack = _encode_latent(p25, grid, args.sigma, args.amplitude)
+    stack = encode_direct(
+        p25, grid, sigma=args.sigma, exponent=args.exponent, out_of_grid=args.out_of_grid
+    )
+    if args.kind == "latent":
+        stack = _encode_latent(p25, stack, args.amplitude)
     serialize.write_h25d(args.out, stack)
     return 0
 
 
-def _encode_latent(
-    p25: Pose25D, grid: HeatmapGrid, sigma: float, amplitude: float
-) -> HeatmapStack:
-    """Synthetic latent maps: a scaled Gaussian bump in the likelihood
-    channel (sharp enough under softmax that the bump, not the flat
-    background, carries the probability mass) and a constant depth map,
-    whose expectation is exact."""
-    direct = encode_direct(p25, grid, sigma=sigma, out_of_grid="clamp")
+def _encode_latent(p25: Pose25D, direct: HeatmapStack, amplitude: float) -> HeatmapStack:
+    """Synthetic latent maps from the direct maps of the same pose: a
+    scaled bump in the likelihood channel (sharp enough under softmax
+    that the bump, not the flat background, carries the probability
+    mass) and a constant depth map, whose expectation is exact."""
     like = amplitude * direct.likelihood
     depth = np.broadcast_to(
         np.asarray(p25.zr)[:, None, None], direct.likelihood.shape

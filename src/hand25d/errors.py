@@ -30,10 +30,6 @@ class BadDepthError(Hand25DError):
     """Back-projection requires strictly positive depths."""
 
 
-class DegenerateBoxError(Hand25DError):
-    """A bounding box with non-positive width or height."""
-
-
 class ZeroBoneError(Hand25DError):
     """The normalization pair keypoints coincide; scale is undefined."""
 
@@ -72,10 +68,6 @@ class ShapeMismatchError(Hand25DError):
 
 class NoValidKeypointsError(Hand25DError):
     """An operation needs at least one valid keypoint."""
-
-
-class EmptyPoolsError(Hand25DError):
-    """Both sample pools handed to the mixer are empty."""
 
 
 class InvalidRootError(Hand25DError):

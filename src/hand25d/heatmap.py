@@ -111,7 +111,8 @@ def encode_direct(
 
     exponent="l1" swaps in the unsquared distance for fidelity
     experiments with sharper, non-Gaussian targets. Exactly the invalid
-    keypoints get all-zero maps; a valid one whose map underflows raises.
+    keypoints get all-zero maps; a valid one whose map underflows to 0,
+    in float64 or in float32 as H25D stores it, raises.
     """
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
@@ -134,7 +135,8 @@ def encode_direct(
         d2 = (xs - x) ** 2 + (ys - y) ** 2
         arg = d2 if exponent == "l2sq" else np.sqrt(d2)
         like[i] = np.exp(-arg / (sigma * sigma))
-        if like[i, round(y), round(x)] == 0.0:  # the map peaks at the nearest pixel
+        # the map peaks at the nearest pixel; H25D stores it as float32
+        if np.float32(like[i, round(y), round(x)]) == 0.0:
             raise ConfigError(f"sigma {sigma:g} is too small: keypoint {i}'s map underflows to 0")
         depth[i] = p25.zr[i] * like[i]
     return HeatmapStack(kind="direct", likelihood=like, depth=depth)

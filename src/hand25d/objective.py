@@ -1,5 +1,4 @@
-"""Training losses over 2.5D pose predictions and heatmaps, plus the
-mixed-annotation batch scheduler.
+"""Training loss over 2.5D pose predictions.
 
 The pose loss splits into a 2D term and a depth term weighted by alpha;
 samples that carry only 2D annotations contribute exactly zero depth
@@ -9,17 +8,10 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyPoolsError,
-    NoValidKeypointsError,
-    ShapeMismatchError,
-)
-from .heatmap import HeatmapStack
+from .errors import ConfigError, NoValidKeypointsError, ShapeMismatchError
 from .types import Pose2D, Pose25D
 
 
@@ -30,14 +22,10 @@ class LossConfig:
     regression on mean-normalized poses uses 1."""
 
     alpha: float = 20.0
-    norm_xy: Literal["l1", "l2"] = "l1"
-    norm_z: Literal["l1", "l2"] = "l1"
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError("alpha must be positive and finite")
-        if self.norm_xy not in ("l1", "l2") or self.norm_z not in ("l1", "l2"):
-            raise ConfigError("norms must be 'l1' or 'l2'")
 
 
 @dataclass(frozen=True)
@@ -64,63 +52,24 @@ class SampleAnnotations:
             raise ConfigError("zr_valid given without gt_zr")
 
 
-def _norm(diff: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "l1":
-        return np.abs(diff).sum(axis=-1) if diff.ndim > 1 else np.abs(diff)
-    return np.linalg.norm(diff, axis=-1) if diff.ndim > 1 else np.abs(diff)
-
-
 def pose_loss(
     pred: Pose25D, ann: SampleAnnotations, cfg: LossConfig = LossConfig()
 ) -> tuple[float, float, float]:
     """(total, part_xy, part_z); total = part_xy + alpha * part_z.
 
-    Each part is a mean over its valid keypoints; part_z is 0 when the
-    sample has no depth annotation.
+    Each part is a mean L1 error over its valid keypoints: part_xy of the
+    (x, y) pixels, part_z of zr. part_z is 0 when the sample has no depth
+    annotation.
     """
     if pred.num_keypoints != ann.gt_2d.num_keypoints:
         raise ShapeMismatchError("prediction and annotation keypoint counts differ")
     mask_xy = pred.valid & ann.gt_2d.valid
     if not np.any(mask_xy):
         raise NoValidKeypointsError("no keypoint is valid in both prediction and annotation")
-    part_xy = float(np.mean(_norm(pred.xy[mask_xy] - ann.gt_2d.xy[mask_xy], cfg.norm_xy)))
+    part_xy = float(np.mean(np.abs(pred.xy[mask_xy] - ann.gt_2d.xy[mask_xy]).sum(axis=-1)))
     part_z = 0.0
     if ann.gt_zr is not None:
         mask_z = pred.valid & ann.zr_valid
         if np.any(mask_z):
-            part_z = float(np.mean(_norm(pred.zr[mask_z] - ann.gt_zr[mask_z], cfg.norm_z)))
+            part_z = float(np.mean(np.abs(pred.zr[mask_z] - ann.gt_zr[mask_z])))
     return part_xy + cfg.alpha * part_z, part_xy, part_z
-
-
-def heatmap_loss_direct(pred: HeatmapStack, target: HeatmapStack) -> float:
-    """Mean squared error over every likelihood and depth cell."""
-    if pred.kind != "direct" or target.kind != "direct":
-        raise ConfigError("direct heatmap loss expects direct-kind stacks")
-    if pred.likelihood.shape != target.likelihood.shape:
-        raise ShapeMismatchError("prediction and target stacks differ in shape")
-    sq_like = np.square(pred.likelihood - target.likelihood)
-    sq_depth = np.square(pred.depth - target.depth)
-    return float((sq_like.sum() + sq_depth.sum()) / (sq_like.size + sq_depth.size))
-
-
-def sample_mixer(
-    seed: int,
-    pool_2d: Sequence,
-    pool_3d: Sequence,
-    count: int,
-) -> list[tuple[str, object]]:
-    """Deterministic schedule of `count` draws, picking the 2D-only or 3D
-    pool with probability 1/2 each (uniformly within the pool). If one
-    pool is empty every draw comes from the other."""
-    if not pool_2d and not pool_3d:
-        raise EmptyPoolsError("both sample pools are empty")
-    rng = np.random.default_rng(seed)
-    schedule: list[tuple[str, object]] = []
-    for _ in range(count):
-        if pool_2d and pool_3d:
-            tag = "2d" if rng.random() < 0.5 else "3d"
-        else:
-            tag = "2d" if pool_2d else "3d"
-        pool = pool_2d if tag == "2d" else pool_3d
-        schedule.append((tag, pool[int(rng.integers(len(pool)))]))
-    return schedule

@@ -1,5 +1,5 @@
 """File formats: pose-record JSONL, small JSON sidecars (camera, bone
-stats, skeleton, beta), the H25D binary heatmap container, report JSON
+stats, beta), the H25D binary heatmap container, report JSON
 and curve CSV.
 
 All JSON is UTF-8 with keys emitted in a fixed order and floats in
@@ -23,8 +23,8 @@ from .camera import CameraIntrinsics, project
 from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
-from .skeleton import BoneStats, Skeleton, canonical_skeleton
-from .types import Pose3D, Pose25D
+from .skeleton import BoneStats, canonical_skeleton
+from .types import Pose3D, Pose25D, _as_array
 
 SCHEMA_VERSION = 1
 H25D_MAGIC = b"H25D"
@@ -82,13 +82,13 @@ class PoseRecord:
     meta: dict | None = None
 
     def __post_init__(self):
-        self.valid = np.asarray(self.valid, dtype=bool)
+        self.valid = _as_array(self.valid, bool, "valid")
         if self.valid.ndim != 1:
             raise ShapeMismatchError(f"validity mask shape {self.valid.shape} is not (K,)")
         k = self.valid.shape[0]
         for key, width, _ in _VIEWS:
             if getattr(self, key) is not None:
-                arr = np.asarray(getattr(self, key), dtype=np.float64)
+                arr = _as_array(getattr(self, key), np.float64, key)
                 shape = (k, width) if width else (k,)
                 if arr.shape != shape:
                     raise ShapeMismatchError(f"{key} shape {arr.shape} != {shape}")
@@ -295,33 +295,6 @@ def read_bone_stats_json(path: str | Path) -> BoneStats:
     if len(values) != expected:
         raise DataFormatError(f"bone stats have {len(values)} lengths, expected {expected}")
     return BoneStats(mean_length=np.array(values))
-
-
-def skeleton_to_dict(skel: Skeleton) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "num_keypoints": skel.num_keypoints,
-        "names": list(skel.names),
-        "parent": list(skel.parent),
-        "bones": [[c, p] for c, p in skel.bones],
-    }
-
-
-def write_skeleton_json(path: str | Path, skel: Skeleton) -> None:
-    Path(path).write_text(_dumps(skeleton_to_dict(skel)) + "\n", encoding="utf-8")
-
-
-def read_skeleton_json(path: str | Path) -> Skeleton:
-    obj = _loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return Skeleton(
-            num_keypoints=_int(obj["num_keypoints"], "num_keypoints"),
-            names=tuple(obj["names"]),
-            parent=tuple(_int(p, "parent") for p in obj["parent"]),
-            bones=tuple((_int(c, "bone child"), _int(p, "bone parent")) for c, p in obj["bones"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid skeleton JSON: {exc}") from exc
 
 
 def write_beta_json(path: str | Path, beta: np.ndarray) -> None:

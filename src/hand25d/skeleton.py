@@ -63,11 +63,6 @@ class Skeleton:
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
-    def bone_id(self, child: int) -> int:
-        if not 1 <= child < self.num_keypoints:
-            raise KeyError(f"keypoint {child} is not the child of any bone")
-        return child - 1
-
     def is_edge(self, child: int, parent: int) -> bool:
         return 0 <= child < self.num_keypoints and self.parent[child] == parent and child != parent
 

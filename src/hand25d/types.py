@@ -14,8 +14,18 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 
-def _as_points(a, dim: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+def _as_array(value, dtype, what: str) -> np.ndarray:
+    """np.asarray(value, dtype), raising ShapeMismatchError that names
+    `what` where numpy raises ValueError or TypeError (a ragged nesting,
+    a string that is not a number)."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (ValueError, TypeError) as exc:
+        raise ShapeMismatchError(f"{what} is not a rectangular array of numbers: {exc}") from exc
+
+
+def _as_points(a, dim: int, what: str) -> np.ndarray:
+    arr = _as_array(a, np.float64, what)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ShapeMismatchError(f"expected (K, {dim}) array, got {arr.shape}")
     return arr
@@ -24,7 +34,7 @@ def _as_points(a, dim: int) -> np.ndarray:
 def _as_mask(valid, k: int) -> np.ndarray:
     if valid is None:
         return np.ones(k, dtype=bool)
-    mask = np.asarray(valid, dtype=bool)
+    mask = _as_array(valid, bool, "validity mask")
     if mask.shape != (k,):
         raise ShapeMismatchError(f"validity mask shape {mask.shape} != ({k},)")
     return mask
@@ -38,7 +48,7 @@ class Pose3D:
     valid: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        xyz = _as_points(self.xyz, 3)
+        xyz = _as_points(self.xyz, 3, "xyz")
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "valid", _as_mask(self.valid, xyz.shape[0]))
 
@@ -55,7 +65,7 @@ class Pose2D:
     valid: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        xy = _as_points(self.xy, 2)
+        xy = _as_points(self.xy, 2, "xy")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "valid", _as_mask(self.valid, xy.shape[0]))
 
@@ -78,8 +88,8 @@ class Pose25D:
     valid: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        xy = _as_points(self.xy, 2)
-        zr = np.asarray(self.zr, dtype=np.float64)
+        xy = _as_points(self.xy, 2, "xy")
+        zr = _as_array(self.zr, np.float64, "zr")
         if zr.shape != (xy.shape[0],):
             raise ShapeMismatchError(f"zr shape {zr.shape} != ({xy.shape[0]},)")
         if not 0 <= self.root < xy.shape[0]:

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from hand25d.camera import (
-    AffineMap2D,
     CameraIntrinsics,
     backproject,
-    crop_transform,
     normalized_image_coords,
     project,
 )
-from hand25d.errors import BadDepthError, BehindCameraError, DegenerateBoxError
+from hand25d.errors import BadDepthError, BehindCameraError
 from hand25d.types import Pose2D, Pose3D
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
@@ -107,59 +105,3 @@ class TestNormalizedImageCoords:
         rays = normalized_image_coords(p2d.xy, CAM)
         np.testing.assert_allclose(rays, xyz[:, :2] / xyz[:, 2:3], rtol=1e-12)
 
-
-class TestCropTransform:
-    def test_default_fill_fraction_is_seventy_percent(self):
-        import inspect
-
-        assert inspect.signature(crop_transform).parameters["fill_fraction"].default == 0.7
-
-    def test_centering(self):
-        m = crop_transform((10.0, 20.0, 40.0, 30.0), (128, 128), fill_fraction=1.0)
-        center = m.apply([[10.0 + 20.0, 20.0 + 15.0]])
-        np.testing.assert_allclose(center[0], [64.0, 64.0], atol=1e-12)
-
-    def test_diagonal_spans_fill_fraction(self):
-        bbox = (5.0, 7.0, 40.0, 30.0)
-        m = crop_transform(bbox, (128, 128), fill_fraction=0.7)
-        corners = m.apply([[5.0, 7.0], [45.0, 37.0]])
-        diag = np.linalg.norm(corners[1] - corners[0])
-        np.testing.assert_allclose(diag, 0.7 * 128.0, rtol=1e-12)
-
-    def test_apply_invert_identity(self):
-        rng = np.random.default_rng(4)
-        m = crop_transform((3.0, 9.0, 25.0, 55.0), (96, 128), fill_fraction=0.7)
-        pts = rng.uniform(-100, 100, size=(50, 2))
-        back = m.invert().apply(m.apply(pts))
-        assert np.abs(back - pts).max() < 1e-10
-
-    def test_degenerate_box(self):
-        with pytest.raises(DegenerateBoxError):
-            crop_transform((0.0, 0.0, 0.0, 10.0), (128, 128))
-
-
-class TestAffineMap2D:
-    def test_singular_map_rejected(self):
-        with pytest.raises(DegenerateBoxError):
-            AffineMap2D(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
-
-    def test_compose_associative(self):
-        rng = np.random.default_rng(5)
-        maps = [AffineMap2D(rng.normal(size=(2, 3)) + [[1, 0, 0], [0, 1, 0]]) for _ in range(3)]
-        a, b, c = maps
-        left = a.compose(b).compose(c)
-        right = a.compose(b.compose(c))
-        np.testing.assert_allclose(left.m, right.m, atol=1e-12)
-
-    def test_double_invert(self):
-        m = crop_transform((2.0, 4.0, 30.0, 20.0), (128, 128), fill_fraction=0.8)
-        np.testing.assert_allclose(m.invert().invert().m, m.m, atol=1e-12)
-
-    def test_compose_matches_sequential_apply(self):
-        rng = np.random.default_rng(6)
-        a = AffineMap2D(rng.normal(size=(2, 3)) + [[2, 0, 0], [0, 2, 0]])
-        b = AffineMap2D(rng.normal(size=(2, 3)) + [[2, 0, 0], [0, 2, 0]])
-        pts = rng.normal(size=(10, 2))
-        np.testing.assert_allclose(
-            a.compose(b).apply(pts), a.apply(b.apply(pts)), rtol=1e-12
-        )

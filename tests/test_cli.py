@@ -7,7 +7,7 @@ import pytest
 
 from hand25d import serialize
 from hand25d.camera import CameraIntrinsics
-from hand25d.cli import main
+from hand25d.cli import DEFAULT_LATENT_AMPLITUDE, main
 from hand25d.errors import DataFormatError, Hand25DError
 from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import align_root, epe, evaluate
@@ -363,6 +363,36 @@ class TestEncodeDecode:
         serialize.write_h25d(expected, stack)
         assert main(["encode", "--in", str(workdir / "gt.jsonl"), *flags, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_latent_encode_follows_exponent(self, workdir):
+        p25 = serialize.read_pose_records(workdir / "gt.jsonl")[0].pose25d()
+        direct = encode_direct(p25, HeatmapGrid(width=128, height=128), exponent="l1")
+        like = DEFAULT_LATENT_AMPLITUDE * direct.likelihood
+        depth = np.broadcast_to(p25.zr[:, None, None], like.shape)
+        expected, out = workdir / "expected.h25d", workdir / "out.h25d"
+        serialize.write_h25d(expected, HeatmapStack(kind="latent", likelihood=like, depth=depth))
+        assert main(["encode", "--in", str(workdir / "gt.jsonl"), "--kind", "latent",
+                     "--exponent", "l1", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_latent_encode_follows_out_of_grid(self, workdir, capsys):
+        argv = ["encode", "--in", str(workdir / "gt.jsonl"), "--kind", "latent",
+                "--grid", "32x32", "--out", str(workdir / "m.h25d")]
+        assert main(argv) == 3
+        assert "is outside the grid" in capsys.readouterr().err
+        assert not (workdir / "m.h25d").exists()
+        assert main(argv + ["--out-of-grid", "clamp"]) == 0
+
+    def test_sigma_whose_maps_underflow_in_the_file_is_3(self, workdir, capsys):
+        # at --sigma 0.045 some valid map peaks above 0 in float64 but is 0.0 in float32
+        maps, decoded = workdir / "m.h25d", workdir / "d.jsonl"
+        encode = ["encode", "--in", str(workdir / "gt.jsonl"), "--out", str(maps)]
+        assert main(encode + ["--sigma", "0.045"]) == 3
+        assert "map underflows to 0" in capsys.readouterr().err
+        assert not maps.exists()
+        assert main(encode + ["--sigma", "0.2"]) == 0
+        assert main(["decode", "--in", str(maps), "--out", str(decoded)]) == 0
+        assert serialize.read_pose_records(decoded)[0].valid.all()
 
 
 class TestShortenTips:

@@ -11,7 +11,7 @@ from hand25d.errors import (
     OutOfGridError,
     ShapeMismatchError,
 )
-from hand25d import heatmap
+from hand25d import heatmap, serialize
 from hand25d.heatmap import (
     HeatmapGrid,
     HeatmapStack,
@@ -87,6 +87,22 @@ class TestEncodeDirect:
         with pytest.raises(ConfigError, match="keypoint 1's map underflows to 0"):
             encode_direct(pose_at([[3.0, 3.0], [7.5, 3.0]], [0.0, 0.0]), GRID, sigma=0.01,
                           exponent=exponent)
+
+    def test_map_that_underflows_only_in_float32_is_rejected(self):
+        # half a pixel off the lattice at sigma 0.035 the peak is
+        # exp(-0.25 / 0.035^2) ~ 1e-89: a float64 but 0.0 as float32
+        sigma = 0.035
+        assert np.float32(np.exp(-0.25 / sigma**2)) == 0.0 < np.exp(-0.25 / sigma**2)
+        with pytest.raises(ConfigError, match="keypoint 1's map underflows to 0"):
+            encode_direct(pose_at([[3.0, 3.0], [7.5, 3.0]], [0.0, 0.0]), GRID, sigma=sigma)
+
+    def test_map_whose_float32_peak_is_subnormal_survives(self, tmp_path):
+        # at sigma 0.0513 the peak exp(-0.25 / sigma^2) ~ 5e-42 is a float32 subnormal
+        sigma = 0.0513
+        assert 0.0 < np.float32(np.exp(-0.25 / sigma**2)) < np.finfo(np.float32).tiny
+        stack = encode_direct(pose_at([[3.0, 3.0], [7.5, 3.0]], [0.0, 0.0]), GRID, sigma=sigma)
+        serialize.write_h25d(tmp_path / "m.h25d", stack)
+        assert decode_direct(serialize.read_h25d(tmp_path / "m.h25d")).valid.all()
 
     def test_invalid_keypoints_zero_maps(self):
         pose = Pose25D(xy=[[5.0, 5.0], [6.0, 6.0]], zr=[0.1, 0.2], valid=[True, False])

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from hand25d.errors import (
-    ConfigError,
-    EmptyPoolsError,
-    NoValidKeypointsError,
-    ShapeMismatchError,
-)
-from hand25d.heatmap import HeatmapGrid, encode_direct
-from hand25d.objective import LossConfig, SampleAnnotations, heatmap_loss_direct, pose_loss, sample_mixer
+from hand25d.errors import NoValidKeypointsError
+from hand25d.objective import LossConfig, SampleAnnotations, pose_loss
 from hand25d.types import Pose2D, Pose25D
 
 K = 21
@@ -24,7 +18,6 @@ class TestPoseLoss:
     def test_default_alpha_is_twenty(self):
         cfg = LossConfig()
         assert cfg.alpha == 20.0
-        assert cfg.norm_xy == "l1" and cfg.norm_z == "l1"
 
     def test_holistic_variant_is_a_config(self):
         # mean-normalized holistic regression maps onto alpha=1, L1
@@ -63,15 +56,6 @@ class TestPoseLoss:
         assert part_xy == 7.0
         assert part_z == pytest.approx(0.1, abs=1e-15)
         assert total == pytest.approx(9.0, abs=1e-12)
-
-    def test_l2_norm_is_euclidean(self):
-        xy = np.zeros((K, 2))
-        xy[0] = [3.0, 4.0]
-        valid = np.zeros(K, dtype=bool)
-        valid[0] = True
-        ann = SampleAnnotations(gt_2d=Pose2D(xy=np.zeros((K, 2)), valid=valid))
-        _, part_xy, _ = pose_loss(pred_pose(xy), ann, LossConfig(norm_xy="l2"))
-        assert part_xy == 5.0
 
     def test_masking_exactness(self):
         # adding a depth annotation equal to the prediction changes nothing
@@ -128,81 +112,3 @@ class TestPoseLoss:
             total, _, _ = pose_loss(pred, ann)
             assert total > 0.0
 
-
-class TestHeatmapLossDirect:
-    def stacks(self):
-        grid = HeatmapGrid(width=16, height=16)
-        rng = np.random.default_rng(5)
-        xy = rng.uniform(2, 13, size=(4, 2))
-        pose = Pose25D(xy=xy, zr=rng.normal(size=4))
-        return encode_direct(pose, grid), grid
-
-    def test_identical_stacks_zero(self):
-        stack, _ = self.stacks()
-        assert heatmap_loss_direct(stack, stack) == 0.0
-
-    def test_constant_offset_is_one(self):
-        from hand25d.heatmap import HeatmapStack
-
-        shape = (3, 8, 8)
-        zeros = HeatmapStack(kind="direct", likelihood=np.zeros(shape), depth=np.zeros(shape))
-        ones = HeatmapStack(kind="direct", likelihood=np.ones(shape), depth=np.ones(shape))
-        assert heatmap_loss_direct(zeros, ones) == 1.0
-
-    def test_depth_only_offset_is_half(self):
-        shape = (2, 6, 6)
-        from hand25d.heatmap import HeatmapStack
-
-        a = HeatmapStack(kind="direct", likelihood=np.zeros(shape), depth=np.zeros(shape))
-        b = HeatmapStack(kind="direct", likelihood=np.zeros(shape), depth=np.ones(shape))
-        assert heatmap_loss_direct(a, b) == 0.5
-
-    def test_symmetry(self):
-        stack, grid = self.stacks()
-        rng = np.random.default_rng(6)
-        xy = rng.uniform(2, 13, size=(4, 2))
-        other = encode_direct(Pose25D(xy=xy, zr=rng.normal(size=4)), grid)
-        assert heatmap_loss_direct(stack, other) == heatmap_loss_direct(other, stack)
-
-    def test_shape_mismatch(self):
-        stack, _ = self.stacks()
-        small = encode_direct(
-            Pose25D(xy=[[2.0, 2.0]], zr=[0.0]), HeatmapGrid(width=8, height=8)
-        )
-        with pytest.raises(ShapeMismatchError):
-            heatmap_loss_direct(stack, small)
-
-    def test_kind_mismatch(self):
-        import dataclasses
-
-        stack, _ = self.stacks()
-        latent = dataclasses.replace(stack, kind="latent")
-        with pytest.raises(ConfigError):
-            heatmap_loss_direct(stack, latent)
-
-
-class TestSampleMixer:
-    def test_equal_probability_within_three_sigma(self):
-        n = 10_000
-        schedule = sample_mixer(123, ["a", "b", "c"], [1, 2], n)
-        count_2d = sum(1 for tag, _ in schedule if tag == "2d")
-        sigma = np.sqrt(n * 0.25)
-        assert abs(count_2d - n / 2) <= 3 * sigma
-
-    def test_degenerate_single_pool(self):
-        schedule = sample_mixer(7, ["only"], [], 100)
-        assert all(tag == "2d" and item == "only" for tag, item in schedule)
-
-    def test_deterministic(self):
-        a = sample_mixer(42, list(range(5)), list(range(9)), 500)
-        b = sample_mixer(42, list(range(5)), list(range(9)), 500)
-        assert a == b
-
-    def test_different_seeds_differ(self):
-        a = sample_mixer(1, list(range(50)), list(range(50)), 200)
-        b = sample_mixer(2, list(range(50)), list(range(50)), 200)
-        assert a != b
-
-    def test_both_empty(self):
-        with pytest.raises(EmptyPoolsError):
-            sample_mixer(0, [], [], 10)

@@ -16,7 +16,7 @@ from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import evaluate
 from hand25d.skeleton import BoneStats, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose
-from hand25d.types import Pose25D
+from hand25d.types import Pose2D, Pose25D
 
 
 def synth_records(count, seed=0, **kwargs):
@@ -254,12 +254,6 @@ class TestSidecars:
         with pytest.raises(DataFormatError, match=re.escape(message)):
             serialize.read_bone_stats_json(path)
 
-    def test_skeleton_round_trip(self, tmp_path):
-        skel = canonical_skeleton()
-        path = tmp_path / "skel.json"
-        serialize.write_skeleton_json(path, skel)
-        assert serialize.read_skeleton_json(path) == skel
-
     def test_beta_round_trip(self, tmp_path):
         beta = np.linspace(0.5, 2.0, 21)
         path = tmp_path / "beta.json"
@@ -412,12 +406,6 @@ class TestKeypointNames:
         assert serialize.record_to_dict(rec) == record_json()
 
 
-def _skeleton_json(**changes):
-    obj = serialize.skeleton_to_dict(canonical_skeleton())
-    obj.update(changes)
-    return obj
-
-
 def _report_json(**changes):
     obj = serialize.report_to_dict(TestReportAndCurve().report())
     obj.update(changes)
@@ -425,30 +413,19 @@ def _report_json(**changes):
 
 
 class TestStrictSidecarInts:
-    """Sidecar integers must be JSON ints: never a float, a string or a bool."""
+    """Report integers must be JSON ints: never a float, a string or a bool."""
 
-    @pytest.mark.parametrize("reader, obj, message", [
-        ("skeleton", _skeleton_json(num_keypoints=21.9), "num_keypoints is not an integer: 21.9"),
-        ("skeleton", _skeleton_json(num_keypoints="21"), "num_keypoints is not an integer: '21'"),
-        ("skeleton", _skeleton_json(num_keypoints=True), "num_keypoints is not an integer: True"),
-        ("skeleton", _skeleton_json(parent=["0"] + list(canonical_skeleton().parent[1:])),
-         "parent is not an integer: '0'"),
-        ("skeleton", _skeleton_json(bones=[[1.0, 0]] + [list(b) for b in canonical_skeleton().bones[1:]]),
-         "bone child is not an integer: 1.0"),
-        ("skeleton", _skeleton_json(bones=[[1, False]] + [list(b) for b in canonical_skeleton().bones[1:]]),
-         "bone parent is not an integer: False"),
-        ("report", _report_json(num_samples="250"), "num_samples is not an integer: '250'"),
-        ("report", _report_json(num_samples=4.0), "num_samples is not an integer: 4.0"),
-        ("report", _report_json(num_failed=2.9), "num_failed is not an integer: 2.9"),
-        ("report", _report_json(num_failed=True), "num_failed is not an integer: True"),
-    ], ids=["K-float", "K-str", "K-bool", "parent-str", "bone-child-float", "bone-parent-bool",
-            "samples-str", "samples-float", "failed-float", "failed-bool"])
-    def test_rejected(self, tmp_path, reader, obj, message):
-        path = tmp_path / f"{reader}.json"
+    @pytest.mark.parametrize("obj, message", [
+        (_report_json(num_samples="250"), "num_samples is not an integer: '250'"),
+        (_report_json(num_samples=4.0), "num_samples is not an integer: 4.0"),
+        (_report_json(num_failed=2.9), "num_failed is not an integer: 2.9"),
+        (_report_json(num_failed=True), "num_failed is not an integer: True"),
+    ], ids=["samples-str", "samples-float", "failed-float", "failed-bool"])
+    def test_rejected(self, tmp_path, obj, message):
+        path = tmp_path / "report.json"
         path.write_text(json.dumps(obj))
-        read = {"skeleton": serialize.read_skeleton_json, "report": serialize.read_report_json}
         with pytest.raises(DataFormatError, match=re.escape(message)):
-            read[reader](path)
+            serialize.read_report_json(path)
 
 
 class TestPoseRecordShapes:
@@ -480,3 +457,28 @@ class TestPoseRecordShapes:
         with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             serialize.PoseRecord(**views)
 
+
+
+class TestRaggedViews:
+    """A ragged or non-numeric nesting raises ShapeMismatchError naming the
+    field, from PoseRecord and from the pose containers alike."""
+
+    CASES = [
+        ("px", {"px": [[1.0, 2.0], [3.0]]}, "inhomogeneous shape"),
+        ("px", {"px": [["a", 2.0], [3.0, 1.0]]}, "could not convert string to float"),
+        ("valid", {"valid": [[True], [True, False]]}, "inhomogeneous shape"),
+    ]
+    IDS = ["ragged-px", "string-px", "ragged-valid"]
+
+    @pytest.mark.parametrize("field, change, cause", CASES, ids=IDS)
+    def test_pose_record(self, field, change, cause):
+        views = {"valid": [True, True], "px": [[1.0, 2.0], [3.0, 4.0]], **change}
+        with pytest.raises(ShapeMismatchError, match=f"^{field} is not a rectangular .*{cause}"):
+            serialize.PoseRecord(**views)
+
+    @pytest.mark.parametrize("field, change, cause", CASES, ids=IDS)
+    def test_pose2d(self, field, change, cause):
+        views = {"valid": [True, True], "px": [[1.0, 2.0], [3.0, 4.0]], **change}
+        name = {"px": "xy", "valid": "validity mask"}[field]
+        with pytest.raises(ShapeMismatchError, match=f"^{name} is not a rectangular .*{cause}"):
+            Pose2D(xy=views["px"], valid=views["valid"])

@@ -36,15 +36,6 @@ class TestCanonicalSkeleton:
             assert bone_id == child - 1
             assert parent == skel.parent[child]
 
-    def test_bone_id_of_every_child(self):
-        skel = canonical_skeleton()
-        for child in range(1, skel.num_keypoints):
-            assert skel.bone_id(child) == child - 1
-            assert skel.bones[skel.bone_id(child)][0] == child
-        for not_a_child in (0, -1, skel.num_keypoints):
-            with pytest.raises(KeyError):
-                skel.bone_id(not_a_child)
-
     def test_bone_ends_follow_bones(self):
         skel = canonical_skeleton()
         children, parents = skel.bone_ends
