@@ -16,12 +16,12 @@ from .errors import ShapeMismatchError
 
 def _as_array(value, dtype, what: str) -> np.ndarray:
     """np.asarray(value, dtype), raising ShapeMismatchError that names
-    `what` where numpy raises ValueError or TypeError (a ragged nesting,
-    a string that is not a number)."""
+    `what` where numpy raises ValueError, TypeError or OverflowError (a
+    ragged nesting, a string that is not a number, an int beyond float64)."""
     try:
         return np.asarray(value, dtype=dtype)
-    except (ValueError, TypeError) as exc:
-        raise ShapeMismatchError(f"{what} is not a rectangular array of numbers: {exc}") from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ShapeMismatchError(f"{what} cannot be read as a {np.dtype(dtype)} array: {exc}") from exc
 
 
 def _as_points(a, dim: int, what: str) -> np.ndarray:

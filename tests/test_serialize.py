@@ -460,25 +460,27 @@ class TestPoseRecordShapes:
 
 
 class TestRaggedViews:
-    """A ragged or non-numeric nesting raises ShapeMismatchError naming the
-    field, from PoseRecord and from the pose containers alike."""
+    """A ragged, non-numeric or out-of-range nesting raises
+    ShapeMismatchError naming the field, from PoseRecord and from the pose
+    containers alike."""
 
     CASES = [
         ("px", {"px": [[1.0, 2.0], [3.0]]}, "inhomogeneous shape"),
         ("px", {"px": [["a", 2.0], [3.0, 1.0]]}, "could not convert string to float"),
+        ("px", {"px": [[10**400, 2.0], [3.0, 4.0]]}, "int too large to convert to float"),
         ("valid", {"valid": [[True], [True, False]]}, "inhomogeneous shape"),
     ]
-    IDS = ["ragged-px", "string-px", "ragged-valid"]
+    IDS = ["ragged-px", "string-px", "huge-int-px", "ragged-valid"]
 
     @pytest.mark.parametrize("field, change, cause", CASES, ids=IDS)
     def test_pose_record(self, field, change, cause):
         views = {"valid": [True, True], "px": [[1.0, 2.0], [3.0, 4.0]], **change}
-        with pytest.raises(ShapeMismatchError, match=f"^{field} is not a rectangular .*{cause}"):
+        with pytest.raises(ShapeMismatchError, match=f"^{field} cannot be read as a .* array: .*{cause}"):
             serialize.PoseRecord(**views)
 
     @pytest.mark.parametrize("field, change, cause", CASES, ids=IDS)
     def test_pose2d(self, field, change, cause):
         views = {"valid": [True, True], "px": [[1.0, 2.0], [3.0, 4.0]], **change}
         name = {"px": "xy", "valid": "validity mask"}[field]
-        with pytest.raises(ShapeMismatchError, match=f"^{name} is not a rectangular .*{cause}"):
+        with pytest.raises(ShapeMismatchError, match=f"^{name} cannot be read as a .* array: .*{cause}"):
             Pose2D(xy=views["px"], valid=views["valid"])
