@@ -91,19 +91,15 @@ def _norm_config(args) -> NormalizationConfig:
     return NormalizationConfig(c=args.c, pair=_parse_pair(args.pair))
 
 
-def _records(path) -> list[serialize.PoseRecord]:
-    """All records of a file, left-hand ones that carry a camera mirrored to right-hand."""
+def _records(path, override: CameraIntrinsics | None = None) -> list[serialize.PoseRecord]:
+    """All records of a file, each with its camera resolved: `override` (a
+    stage's --camera) when given, its own otherwise. A left-hand record with
+    a camera is mirrored to right-hand with that camera, the one the stage
+    then lifts with."""
     records = serialize.read_pose_records(path)  # a malformed line fails before any flip
+    for rec in records:
+        rec.camera = override or rec.camera
     return [rec if rec.camera is None else serialize.flip_record_to_right(rec) for rec in records]
-
-
-def _camera(
-    i: int, rec: serialize.PoseRecord, override: CameraIntrinsics | None
-) -> CameraIntrinsics:
-    cam = override or rec.camera
-    if cam is None:
-        raise DataFormatError(f"record {i}: no camera available; pass --camera")
-    return cam
 
 
 def _cmd_synth(args) -> int:
@@ -120,11 +116,15 @@ def _cmd_normalize(args) -> int:
     cfg = _norm_config(args)
     override = serialize.read_camera_json(args.camera) if args.camera else None
     out = []
-    for i, rec in enumerate(_records(args.infile)):
-        cam = _camera(i, rec, override)
-        p25 = to_25d(rec.pose3d(), cam, cfg)
+    for i, rec in enumerate(_records(args.infile, override)):
+        try:
+            if rec.camera is None:
+                raise DataFormatError("no camera available; pass --camera")
+            p25 = to_25d(rec.pose3d(), rec.camera, cfg)
+        except Hand25DError as exc:  # same class, so the exit code holds
+            raise type(exc)(f"record {i}: {exc}") from exc
         out.append(serialize.PoseRecord(rec.valid, px=p25.xy, zr_norm=p25.zr, side=rec.side,
-                                        camera=cam, meta=rec.meta))
+                                        camera=rec.camera, meta=rec.meta))
     serialize.write_pose_records(args.out, out)
     return 0
 
@@ -134,13 +134,14 @@ def _cmd_reconstruct(args) -> int:
     override = serialize.read_camera_json(args.camera) if args.camera else None
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     skel = canonical_skeleton()
-    records = _records(args.infile)
+    records = _records(args.infile, override)
     out = []
     failures = 0
     for i, rec in enumerate(records):
-        cam = _camera(i, rec, override)
         try:
-            pose = reconstruct_pose(rec.pose25d(), cam, cfg)
+            if rec.camera is None:
+                raise DataFormatError("no camera available; pass --camera")
+            pose = reconstruct_pose(rec.pose25d(), rec.camera, cfg)
             if stats is not None:
                 # recover_scale returns mm per normalized unit; absolute_pose
                 # expects the metric pair-bone length, i.e. c times that
@@ -150,7 +151,9 @@ def _cmd_reconstruct(args) -> int:
             failures += 1
             print(f"record {i}: reconstruction failed: {exc}", file=sys.stderr)
             valid, xyz = np.zeros(rec.num_keypoints, dtype=bool), None
-        out.append(serialize.PoseRecord(valid, xyz_mm=xyz, side=rec.side, camera=cam,
+        except Hand25DError as exc:  # same class, so the exit code holds
+            raise type(exc)(f"record {i}: {exc}") from exc
+        out.append(serialize.PoseRecord(valid, xyz_mm=xyz, side=rec.side, camera=rec.camera,
                                         meta=rec.meta))
     serialize.write_pose_records(args.out, out)
     if failures:
@@ -216,6 +219,10 @@ def _cmd_eval(args) -> int:
     gts = _records(args.gt)
     if len(preds) != len(gts):
         raise DataFormatError(f"{len(preds)} predictions vs {len(gts)} ground-truth records")
+    for i, (pr, gt) in enumerate(zip(preds, gts)):
+        if pr.side != gt.side:  # a left-hand record without a camera is not mirrored
+            raise DataFormatError(f"record {i}: a {pr.side}-hand prediction against a "
+                                  f"{gt.side}-hand ground truth; mirroring needs a camera")
     masks = [pr.valid & gt.valid for pr, gt in zip(preds, gts)]
     scored = [i for i, mask in enumerate(masks) if mask.any()]  # the other pairs failed
     view, what = ("xyz_mm", "3D") if args.space == "3d" else ("px", "pixel")

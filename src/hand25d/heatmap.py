@@ -144,8 +144,9 @@ def encode_direct(
 
 def decode_direct(stack: HeatmapStack) -> Pose25D:
     """Argmax decode: keypoint at the maximum-likelihood pixel (ties break
-    to the lowest row-major index), zr read from the depth map there; a
-    keypoint whose map is all zero (invalid in encode_direct) is invalid."""
+    to the lowest row-major index), zr the depth over the likelihood there,
+    which undoes encode_direct's depth = zr * likelihood exactly; a keypoint
+    whose map is all zero (invalid in encode_direct) is invalid, with zr 0."""
     if stack.kind != "direct":
         raise ConfigError("decode_direct expects a direct-kind stack")
     k, h, w = stack.likelihood.shape
@@ -153,8 +154,10 @@ def decode_direct(stack: HeatmapStack) -> Pose25D:
     idx = np.argmax(flat, axis=1)
     ys, xs = np.divmod(idx, w)
     xy = np.stack([xs, ys], axis=1).astype(np.float64)
-    zr = stack.depth.reshape(k, h * w)[np.arange(k), idx]
-    return Pose25D(xy=xy, zr=zr, valid=flat[np.arange(k), idx] > 0)
+    peak = flat[np.arange(k), idx]
+    depth = stack.depth.reshape(k, h * w)[np.arange(k), idx]
+    zr = np.divide(depth, peak, out=np.zeros(k), where=peak > 0)
+    return Pose25D(xy=xy, zr=zr, valid=peak > 0)
 
 
 def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:

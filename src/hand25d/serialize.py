@@ -13,13 +13,13 @@ import io
 import json
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project
+from .camera import CameraIntrinsics
 from .errors import ConfigError, DataFormatError, ShapeMismatchError
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
@@ -218,35 +218,24 @@ def read_pose_records(path: str | Path) -> list[PoseRecord]:
 
 def flip_record_to_right(rec: PoseRecord) -> PoseRecord:
     """Mirror a left-hand record into the right-hand convention: X is
-    negated about the camera axis and pixels reflect about cx. Right-hand
-    records pass through untouched."""
+    negated about the camera axis, and each valid pixel moves to the image
+    of the mirrored point, x' = 2 (cx + skew (y - cy) / fy) - x, which
+    needs no depth. Invalid pixel rows are left as they are, and arrays
+    that do not change are shared. Right-hand records pass through untouched."""
     if rec.side == "right":
         return rec
-    if rec.camera is None:
+    cam = rec.camera
+    if cam is None:
         raise ConfigError("flipping a left-hand record requires camera intrinsics")
-    xyz = None
-    px = None
+    xyz = px = None
     if rec.xyz_mm is not None:
         xyz = rec.xyz_mm.copy()
         xyz[:, 0] = -xyz[:, 0]
     if rec.px is not None:
-        if xyz is not None and np.all(xyz[rec.valid, 2] > 0):
-            p2d, _ = project(Pose3D(xyz=xyz, valid=rec.valid.copy()), rec.camera)
-            px = p2d.xy
-        else:
-            if rec.camera.skew != 0:
-                raise ConfigError("pixel-only flip requires zero skew")
-            px = rec.px.copy()
-            px[:, 0] = 2.0 * rec.camera.cx - px[:, 0]
-    return PoseRecord(
-        valid=rec.valid.copy(),
-        px=px,
-        xyz_mm=xyz,
-        zr_norm=None if rec.zr_norm is None else rec.zr_norm.copy(),
-        side="right",
-        camera=rec.camera,
-        meta=rec.meta,
-    )
+        px = rec.px.copy()
+        x, y = px[rec.valid].T
+        px[rec.valid, 0] = 2.0 * (cam.cx + cam.skew * (y - cam.cy) / cam.fy) - x
+    return replace(rec, px=px, xyz_mm=xyz, side="right")
 
 
 # --- small JSON sidecars ---------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hand25d import serialize
-from hand25d.camera import CameraIntrinsics
 from hand25d.cli import DEFAULT_LATENT_AMPLITUDE, main
 from hand25d.errors import DataFormatError, Hand25DError
 from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
@@ -147,6 +146,45 @@ class TestPipeline:
         report = serialize.read_report_json(workdir / "rep.json")
         assert report.auc == 1.0 and report.num_samples == 20
         assert report.epe_mean < 1e-6
+
+    def test_left_hands_mirror_with_the_stage_camera(self, workdir, capsys):
+        """A left-hand corpus without cameras, given --camera, normalizes and
+        reconstructs to the bytes of the same corpus carrying that camera; its
+        camera-less ground truth stays unmirrored, so eval refuses the pair."""
+        cam = serialize.read_camera_json(workdir / "cam.json")
+        stats = str(workdir / "stats.json")
+        runs = {"bare": ["--camera", str(workdir / "cam.json")], "carried": []}
+        for name, flags in runs.items():
+            src = _left_hands(workdir, None if flags else cam, f"{name}.jsonl")
+            norm = str(workdir / f"n_{name}")
+            assert main(["normalize", "--in", src, *flags, "--out", norm]) == 0
+            assert main(["reconstruct", "--in", norm, *flags,
+                         "--bone-stats", stats, "--out", str(workdir / f"r_{name}")]) == 0
+        for stage in "nr":
+            bare, carried = (workdir / f"{stage}_{name}" for name in runs)
+            assert bare.read_bytes() == carried.read_bytes()
+        argv = ["eval", "--pred", str(workdir / "r_bare"), "--protocol", "absolute_with_scale",
+                "--space", "3d", "--out", str(workdir / "rep.json")]
+        assert main(argv + ["--gt", str(workdir / "carried.jsonl")]) == 0
+        report = serialize.read_report_json(workdir / "rep.json")
+        assert report.auc == 1.0 and report.epe_mean < 1e-6
+        capsys.readouterr()
+        assert main(argv + ["--gt", str(workdir / "bare.jsonl")]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {SIDES_DIFFER}"]
+
+    def test_reconstruct_mirrors_with_its_camera(self, workdir):
+        """Left-hand records carrying camera A, reconstructed with --camera B,
+        give the bytes of the same records carrying B: the pixels are
+        mirrored about B, the camera they are then lifted with."""
+        cam_a = serialize.read_camera_json(workdir / "cam.json")
+        cam_b = dataclasses.replace(cam_a, cx=70.0)
+        serialize.write_camera_json(workdir / "b.json", cam_b)
+        out_a, out_b = workdir / "r_a.jsonl", workdir / "r_b.jsonl"
+        assert main(["reconstruct", "--in", _left_hands(workdir, cam_a, "a.jsonl"),
+                     "--camera", str(workdir / "b.json"), "--out", str(out_a)]) == 0
+        assert main(["reconstruct", "--in", _left_hands(workdir, cam_b, "b.jsonl"),
+                     "--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_stages_read_through_read_pose_records(self, workdir, monkeypatch):
         """One reader for every stage, so wrapping it sees all pose input."""
@@ -646,7 +684,7 @@ class TestRarelyTakenBranches:
         out = workdir / "n.jsonl"
         assert main(["normalize", "--in", str(workdir / "zero.jsonl"), "--out", str(out)]) == 4
         assert capsys.readouterr().err.splitlines() == [
-            "numerical failure: normalization pair (5, 0) is degenerate (|bone| = 0)"]
+            "numerical failure: record 0: normalization pair (5, 0) is degenerate (|bone| = 0)"]
         assert not out.exists()
 
     def test_decode_latent_without_beta_uses_ones(self, workdir):
@@ -724,13 +762,38 @@ def _pixels_only(workdir, **changes):
     return path
 
 
-def _reconstruct_skewed_left_pixels(workdir):
-    skewed = CameraIntrinsics(fx=150.0, fy=150.0, cx=63.5, cy=63.5, skew=0.5)
-    return ["reconstruct", "--in", str(_pixels_only(workdir, side="left", camera=skewed))]
+def _left_hands(workdir, camera, name):
+    """The gt records as left hands carrying camera (None: none), written to
+    name in the workdir; returns the path as a string."""
+    records = serialize.read_pose_records(workdir / "gt.jsonl")
+    for rec in records:
+        rec.side, rec.camera = "left", camera
+    serialize.write_pose_records(workdir / name, records)
+    return str(workdir / name)
+
+
+SIDES_DIFFER = ("record 0: a right-hand prediction against a left-hand ground truth; "
+                "mirroring needs a camera")
+
+
+def _eval_against_left_hands_without_camera(workdir):
+    left = _left_hands(workdir, None, "left.jsonl")
+    return ["eval", "--pred", str(workdir / "gt.jsonl"), "--gt", left,
+            "--protocol", "root_aligned", "--space", "3d"]
 
 
 def _shorten_tips_without_xyz(workdir):
     return ["shorten-tips", "--in", str(_pixels_only(workdir))]
+
+
+def _record_3_changed(stage, **changes):
+    """stage over the first 4 gt records, record 3 with the given field changes."""
+    def build(workdir):
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
+        records[3] = dataclasses.replace(records[3], **changes)
+        serialize.write_pose_records(workdir / "four.jsonl", records)
+        return [stage, "--in", str(workdir / "four.jsonl")]
+    return build
 
 
 def _normalize_array_line(workdir):
@@ -771,8 +834,7 @@ REJECTIONS = {
                          "unknown heatmap kind byte 2"),
     "h25d-nan-payload": (lambda w: _decode_bad_h25d(w, 24 + 4 * 100, struct.pack("<f", np.nan)),
                          "heatmap payload contains non-finite values"),
-    "left-pixels-skewed-camera": (_reconstruct_skewed_left_pixels,
-                                  "pixel-only flip requires zero skew"),
+    "eval-sides-differ": (_eval_against_left_hands_without_camera, SIDES_DIFFER),
     "jsonl-line-is-an-array": (_normalize_array_line,
                                "array.jsonl:1: pose record must be a JSON object"),
     "camera-not-an-object": (lambda w: _normalize_changed_record(w, _set_camera),
@@ -791,6 +853,13 @@ REJECTIONS = {
         "thresholds must look like 20:50:31, got '20:50'"),
     "encode-empty-file": (_encode_empty_file, "no records to encode"),
     "shorten-tips-without-xyz": (_shorten_tips_without_xyz, "record 0: shorten-tips needs xyz_mm"),
+    "normalize-record-with-invalid-pair": (
+        _record_3_changed("normalize", valid=np.arange(21) != 5),
+        "record 3: normalization pair (5, 0) must be valid in the 3D pose"),
+    "normalize-record-without-xyz": (_record_3_changed("normalize", xyz_mm=None),
+                                     "record 3: record carries no 3D coordinates"),
+    "reconstruct-record-without-zr": (_record_3_changed("reconstruct", zr_norm=None),
+                                      "record 3: record carries no complete 2.5D view"),
 }
 
 

@@ -145,6 +145,21 @@ class TestDecodeDirect:
         err = np.linalg.norm(decoded.xy - xy, axis=1)
         assert err.max() <= 0.5 * np.sqrt(2.0)
 
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(1.0, 8.0),
+        magnitude=st.floats(1e-3, 1e3),
+    )
+    def test_subpixel_depth_is_exact(self, seed, sigma, magnitude):
+        """decode_direct divides the depth at the argmax pixel by the
+        likelihood there, so zr survives off the pixel lattice too."""
+        rng = np.random.default_rng(seed)
+        xy = np.column_stack([rng.uniform(0, 31, 21), rng.uniform(0, 23, 21)])
+        zr = magnitude * rng.choice([-1.0, 1.0], 21) * rng.uniform(0.5, 1.0, 21)
+        decoded = decode_direct(encode_direct(Pose25D(xy=xy, zr=zr), GRID, sigma=sigma))
+        assert (np.abs(decoded.zr - zr) <= 1e-15 * np.abs(zr)).all()
+
     def test_latent_stack_rejected(self):
         stack = HeatmapStack(kind="latent", likelihood=np.zeros((1, 4, 4)), depth=np.zeros((1, 4, 4)))
         with pytest.raises(ConfigError):

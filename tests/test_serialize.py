@@ -16,7 +16,7 @@ from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import evaluate
 from hand25d.skeleton import BoneStats, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose
-from hand25d.types import Pose2D, Pose25D
+from hand25d.types import Pose2D, Pose3D, Pose25D
 
 
 def synth_records(count, seed=0, **kwargs):
@@ -366,6 +366,33 @@ class TestFlip:
         )
         flipped = serialize.flip_record_to_right(rec)
         np.testing.assert_allclose(flipped.px[:, 0], 2 * rec.camera.cx - rec.px[:, 0], atol=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        cam=st.builds(CameraIntrinsics, fx=st.floats(1.0, 2000.0), fy=st.floats(1.0, 2000.0),
+                      cx=st.floats(-1e3, 1e3), cy=st.floats(-1e3, 1e3), skew=st.floats(-1.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        with_xyz=st.booleans(),
+    )
+    def test_mirrored_pixels_are_the_image_of_the_mirrored_pose(self, cam, seed, with_xyz):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(21) < 0.7
+        xyz = np.column_stack([rng.uniform(-200, 200, (21, 2)), rng.uniform(100, 1000, 21)])
+        px = project(Pose3D(xyz=xyz, valid=valid), cam)[0].xy
+        px[~valid] = rng.normal(scale=1e3, size=(int((~valid).sum()), 2))  # placeholders
+        rec = serialize.PoseRecord(valid=valid, px=px, xyz_mm=xyz if with_xyz else None,
+                                   zr_norm=rng.normal(size=21), side="left", camera=cam)
+        flipped = serialize.flip_record_to_right(rec)
+        mirrored = Pose3D(xyz=xyz * [-1.0, 1.0, 1.0], valid=valid)
+        assert np.abs(flipped.px - project(mirrored, cam)[0].xy)[valid].max(initial=0.0) <= 1e-9
+        assert flipped.px[~valid].tobytes() == px[~valid].tobytes()
+        assert flipped.zr_norm.tobytes() == rec.zr_norm.tobytes()
+        assert (flipped.side, flipped.camera) == ("right", cam)
+        if with_xyz:
+            assert flipped.xyz_mm[:, 0].tobytes() == (-xyz[:, 0]).tobytes()
+            assert flipped.xyz_mm[:, 1:].tobytes() == xyz[:, 1:].tobytes()
+        else:
+            assert flipped.xyz_mm is None
 
     def test_left_without_camera_rejected(self):
         rec = synth_records(1, seed=5)[0]
