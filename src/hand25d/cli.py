@@ -20,6 +20,7 @@ from .errors import (
     DegenerateProjectionError,
     Hand25DError,
     NonPositiveDepthError,
+    NoValidKeypointsError,
     NoRealSolutionError,
     ZeroBoneError,
 )
@@ -147,7 +148,7 @@ def _cmd_reconstruct(args) -> int:
                 # expects the metric pair-bone length, i.e. c times that
                 pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
             valid, xyz = pose.valid, pose.xyz
-        except NUMERICAL_ERRORS as exc:
+        except (*NUMERICAL_ERRORS, NoValidKeypointsError) as exc:  # e.g. an invalid pair
             failures += 1
             print(f"record {i}: reconstruction failed: {exc}", file=sys.stderr)
             valid, xyz = np.zeros(rec.num_keypoints, dtype=bool), None

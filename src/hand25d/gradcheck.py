@@ -159,7 +159,7 @@ _TABLE = {
     "softargmax": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta)},
         (2,),
-        lambda prob: softargmax(prob, validate=False),
+        lambda prob: softargmax(prob),
         # a (..., 1, W) @ (W,) product per map gives the bits of the public
         # (W,) @ (W,) dot; folding the batch into one (B, W) matrix does not
         lambda prob: np.concatenate(_expected_xy(prob[..., None, :, :]), axis=-1),
@@ -168,7 +168,7 @@ _TABLE = {
     "depth_readout": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta), "depth": depth[0]},
         (),
-        lambda prob, dmap: depth_readout(prob, dmap, validate=False),
+        lambda prob, dmap: depth_readout(prob, dmap),
         lambda prob, dmap: (prob * dmap).sum(axis=(-2, -1)),
         lambda g, prob, dmap: vjp_depth_readout(prob, dmap, g),
     ),

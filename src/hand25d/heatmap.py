@@ -200,18 +200,18 @@ def _expected_xy(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob.sum(axis=-2) @ xs, prob.sum(axis=-1) @ ys[:, 0]
 
 
-def softargmax(prob: np.ndarray, validate: bool = True) -> tuple[float, float]:
+def softargmax(prob: np.ndarray) -> tuple[float, float]:
     """Probability-weighted mean pixel coordinate (x, y); lies inside the
     convex hull of the lattice, so sub-pixel positions come for free."""
-    prob = _check_prob(prob) if validate else np.asarray(prob, dtype=np.float64)
+    prob = _check_prob(prob)
     x, y = _expected_xy(prob)
     return float(x), float(y)
 
 
-def depth_readout(prob: np.ndarray, latent_depth: np.ndarray, validate: bool = True) -> float:
+def depth_readout(prob: np.ndarray, latent_depth: np.ndarray) -> float:
     """Expected depth under the likelihood map: sum of the elementwise
     product."""
-    prob = _check_prob(prob) if validate else np.asarray(prob, dtype=np.float64)
+    prob = _check_prob(prob)
     latent_depth = np.asarray(latent_depth, dtype=np.float64)
     if latent_depth.shape != prob.shape:
         raise ShapeMismatchError("depth map shape must match the probability map")

@@ -1,8 +1,8 @@
 """Synthetic hand pose generator used as the round-trip oracle.
 
 Poses are built from exact bone lengths and per-finger planar flexion,
-then rigidly placed so that every keypoint depth stays inside the
-configured range and every projection lands inside the target grid. The
+then rigidly placed so that every keypoint depth stays inside a fixed
+450-1100 mm range and every projection lands inside the target grid. The
 articulation model is deliberately simple; the generator exists for
 geometric coverage, not visual realism.
 
@@ -15,7 +15,7 @@ than the correctness of the reconstruction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,14 @@ FINGER_SPLAY_DEG = {"thumb": -65.0, "index": -18.0, "middle": 0.0, "ring": 15.0,
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=150.0, fy=150.0, cx=63.5, cy=63.5)
 
-_MCP_FLEXION_DEG = (0.0, 70.0)
-_PIP_FLEXION_DEG = (0.0, 95.0)
-_DIP_FLEXION_DEG = (0.0, 70.0)
-_ABDUCTION_DEG = (-12.0, 12.0)
+# (lo, hi) of each finger's four angle draws: abduction, MCP, PIP and DIP flexion
+_ANGLE_LO_DEG, _ANGLE_HI_DEG = np.array([(-12.0, 12.0), (0.0, 70.0), (0.0, 95.0), (0.0, 70.0)]).T
+_BONE_TABLE_MM = np.array([DEFAULT_BONE_MM[f] for f in FINGERS])  # (5, 4), FINGERS order
+_SPLAY_TABLE_DEG = np.array([FINGER_SPLAY_DEG[f] for f in FINGERS])
+_NORMAL = np.array([0.0, 0.0, 1.0])
+_DEPTH_RANGE_MM = (450.0, 1100.0)
+_BONE_JITTER = 0.15
+_NORMALIZATION = NormalizationConfig()
 
 _MAX_REDRAWS = 1000
 _EDGE_MARGIN_PX = 1.0
@@ -55,20 +59,12 @@ class SynthConfig:
     seed: int = 0
     camera: CameraIntrinsics = DEFAULT_CAMERA
     grid: tuple[int, int] = (128, 128)
-    depth_range: tuple[float, float] = (450.0, 1100.0)
     bone_stats: BoneStats | None = None
-    bone_jitter: float = 0.15
-    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
 
     def __post_init__(self):
-        zmin, zmax = self.depth_range
-        if not (0 < zmin < zmax):
-            raise ConfigError("depth range must satisfy 0 < zmin < zmax")
         bones = canonical_skeleton().num_keypoints - 1
         if self.bone_stats is not None and self.bone_stats.mean_length.shape[0] != bones:
             raise ConfigError(f"bone_stats must give {bones} lengths")
-        if not 0 <= self.bone_jitter < 1:
-            raise ConfigError("bone jitter must be in [0, 1)")
 
 
 def _rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
@@ -82,41 +78,39 @@ def _rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     )
 
 
-def _articulated_hand(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
-    """Root-centered keypoints with exact bone lengths (before rigid placement)."""
-    skel = canonical_skeleton()
-    xyz = np.zeros((skel.num_keypoints, 3))
-    normal = np.array([0.0, 0.0, 1.0])
-    for f, finger in enumerate(FINGERS):
-        if cfg.bone_stats is not None:
-            lengths = cfg.bone_stats.mean_length[4 * f : 4 * f + 4]
-        else:
-            base = np.array(DEFAULT_BONE_MM[finger])
-            lengths = base * rng.uniform(1 - cfg.bone_jitter, 1 + cfg.bone_jitter, 4)
-        splay = np.deg2rad(FINGER_SPLAY_DEG[finger] + rng.uniform(*_ABDUCTION_DEG))
-        base_dir = np.array([np.sin(splay), np.cos(splay), 0.0])
-        flex = np.deg2rad(
-            [
-                0.0,
-                rng.uniform(*_MCP_FLEXION_DEG),
-                rng.uniform(*_PIP_FLEXION_DEG),
-                rng.uniform(*_DIP_FLEXION_DEG),
-            ]
-        )
-        cumulative = np.cumsum(flex)
-        position = np.zeros(3)
-        for j in range(4):
-            direction = np.cos(cumulative[j]) * base_dir - np.sin(cumulative[j]) * normal
-            position = position + lengths[j] * direction
-            xyz[1 + 4 * f + j] = position
+def _articulated_hand(rng: np.random.Generator, bone_stats: BoneStats | None) -> np.ndarray:
+    """Root-centered keypoints with exact bone lengths (before rigid placement).
+
+    One draw per hand: each row is a finger, holding its 4 bone-length
+    factors (only without bone_stats), then abduction, MCP, PIP and DIP.
+    Each unit draw u maps to lo + (hi - lo) * u, the formula
+    Generator.uniform applies, so the doubles are those of one
+    rng.uniform call per value.
+    """
+    if bone_stats is None:
+        u = rng.random((len(FINGERS), 8))
+        lo, hi = 1 - _BONE_JITTER, 1 + _BONE_JITTER
+        lengths = _BONE_TABLE_MM * (lo + (hi - lo) * u[:, :4])
+    else:
+        u = rng.random((len(FINGERS), 4))
+        lengths = bone_stats.mean_length.reshape(len(FINGERS), 4)
+    angles = _ANGLE_LO_DEG + (_ANGLE_HI_DEG - _ANGLE_LO_DEG) * u[:, -4:]
+    splay = np.deg2rad(_SPLAY_TABLE_DEG + angles[:, 0])
+    base_dir = np.stack([np.sin(splay), np.cos(splay), np.zeros_like(splay)], axis=1)
+    flex = np.deg2rad(angles)
+    flex[:, 0] = 0.0  # the palm->MCP bone lies in the palm plane
+    bend = np.cumsum(flex, axis=1)[..., None]
+    direction = np.cos(bend) * base_dir[:, None, :] - np.sin(bend) * _NORMAL
+    xyz = np.zeros((canonical_skeleton().num_keypoints, 3))
+    xyz[1:] = np.cumsum(lengths[..., None] * direction, axis=1).reshape(-1, 3)
     return xyz
 
 
-def _well_posed_pair(pose: Pose3D, cfg: SynthConfig) -> bool:
+def _well_posed_pair(pose: Pose3D) -> bool:
     """True when the larger quadratic root is the true root depth by a
     clear margin, i.e. the sample sits inside the uniquely decodable
     regime."""
-    norm_cfg = cfg.normalization
+    norm_cfg = _NORMALIZATION
     n, m = norm_cfg.pair
     s = normalization_scale(pose, norm_cfg)
     z_hat = (norm_cfg.c / s) * pose.xyz[:, 2]
@@ -144,21 +138,21 @@ def gen_pose(cfg: SynthConfig, index: int) -> tuple[Pose3D, Pose25D, PoseRecord]
     rng = np.random.default_rng([cfg.seed, index])
     cam = cfg.camera
     width, height = cfg.grid
-    zmin, zmax = cfg.depth_range
+    zmin, zmax = _DEPTH_RANGE_MM
     u_lim_x = min(cam.cx - _EDGE_MARGIN_PX, width - 1 - _EDGE_MARGIN_PX - cam.cx) / cam.fx
     u_lim_y = min(cam.cy - _EDGE_MARGIN_PX, height - 1 - _EDGE_MARGIN_PX - cam.cy) / cam.fy
     if u_lim_x <= 0 or u_lim_y <= 0:
         raise ConfigError("grid too small for the camera principal point")
 
     for _ in range(_MAX_REDRAWS):
-        local = _articulated_hand(rng, cfg)
+        local = _articulated_hand(rng, cfg.bone_stats)
         rotation = _rotation_from_quaternion(rng.normal(size=4))
         placed = local @ rotation.T
         radius = float(np.linalg.norm(placed, axis=1).max())
         z_lo, z_hi = zmin + radius, zmax - radius
         if z_lo >= z_hi:
             raise ConfigError(
-                f"depth range {cfg.depth_range} cannot contain a hand of radius {radius:.0f} mm"
+                f"depth range {_DEPTH_RANGE_MM} cannot contain a hand of radius {radius:.0f} mm"
             )
         tz = rng.uniform(z_lo, z_hi)
         mx = max(0.0, (tz - radius) * u_lim_x - radius)
@@ -167,9 +161,9 @@ def gen_pose(cfg: SynthConfig, index: int) -> tuple[Pose3D, Pose25D, PoseRecord]
         ty = rng.uniform(-my, my) if my > 0 else 0.0
         xyz = placed + np.array([tx, ty, tz])
         pose = Pose3D(xyz=xyz)
-        if not _well_posed_pair(pose, cfg):
+        if not _well_posed_pair(pose):
             continue
-        p25 = to_25d(pose, cam, cfg.normalization)
+        p25 = to_25d(pose, cam, _NORMALIZATION)
         record = PoseRecord(
             valid=pose.valid.copy(),
             px=p25.xy.copy(),

@@ -563,6 +563,34 @@ class TestExitCodes:
         rec = serialize.read_pose_records(out)[0]
         assert not rec.valid.any()
 
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 4)])
+    def test_reconstruct_record_with_invalid_pair_fails_alone(self, workdir, capsys, strict,
+                                                              code):
+        """A record missing a normalization-pair keypoint is one failed
+        record, written all-invalid; the other records are unchanged."""
+        assert main(["normalize", "--in", str(workdir / "gt.jsonl"),
+                     "--out", str(workdir / "n.jsonl")]) == 0
+        records = serialize.read_pose_records(workdir / "n.jsonl")[:6]
+        serialize.write_pose_records(workdir / "six.jsonl", records)
+        records[3] = dataclasses.replace(records[3], valid=np.arange(21) != 5)
+        serialize.write_pose_records(workdir / "hole.jsonl", records)
+        flags = ["--strict"] if strict else []
+        assert main(["reconstruct", "--in", str(workdir / "six.jsonl"),
+                     "--out", str(workdir / "ok.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--in", str(workdir / "hole.jsonl"), *flags,
+                     "--out", str(workdir / "rec.jsonl")]) == code
+        assert capsys.readouterr().err.splitlines() == [
+            "record 3: reconstruction failed: normalization pair (5, 0) must be valid in the "
+            "2.5D pose",
+            "1/6 records failed to reconstruct",
+        ]
+        ok = (workdir / "ok.jsonl").read_text().splitlines()
+        rec = (workdir / "rec.jsonl").read_text().splitlines()
+        assert len(rec) == 6
+        assert rec[:3] + rec[4:] == ok[:3] + ok[4:]
+        assert not serialize.read_pose_records(workdir / "rec.jsonl")[3].valid.any()
+
     def test_eval_of_an_all_failed_reconstruction_is_3(self, workdir, capsys):
         gts = serialize.read_pose_records(workdir / "gt.jsonl")[:2]
         degenerate = serialize.PoseRecord(

@@ -383,7 +383,7 @@ class TestBatchedKernels:
             assert np.stack([x[i], y[i]], axis=1).tobytes() == pose.xy.tobytes()
             assert zr[i].tobytes() == pose.zr.tobytes()
             for j in range(k):
-                one_xy = np.array(softargmax(prob[i, j], validate=False))
+                one_xy = np.array(softargmax(prob[i, j]))
                 assert xy[i, j].tobytes() == one_xy.tobytes()
-                one_z = np.float64(depth_readout(prob[i, j], depth[i, j], validate=False))
+                one_z = np.float64(depth_readout(prob[i, j], depth[i, j]))
                 assert z[i, j].tobytes() == one_z.tobytes()
