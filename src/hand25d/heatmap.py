@@ -66,11 +66,16 @@ class HeatmapStack:
             raise ShapeMismatchError(
                 f"likelihood {like.shape} and depth {depth.shape} must both be (K, H, W)"
             )
+        if like.size == 0:
+            raise ShapeMismatchError(f"heatmap stack {like.shape} has a zero-length axis")
         if self.kind not in ("direct", "latent"):
             raise ConfigError(f"unknown heatmap kind {self.kind!r}")
-        if not (np.isfinite(like).all() and np.isfinite(depth).all()):
+        # min and max propagate NaN and reach +-inf, so finite extremes mean
+        # finite arrays, without a full-size boolean temporary
+        lo, hi = like.min(), like.max()
+        if not np.isfinite([lo, hi, depth.min(), depth.max()]).all():
             raise NonFiniteError("heatmaps must be finite")
-        if self.kind == "direct" and (like.min() < 0.0 or like.max() > 1.0):
+        if self.kind == "direct" and (lo < 0.0 or hi > 1.0):
             raise ConfigError("direct likelihood values must lie in [0, 1]")
         object.__setattr__(self, "likelihood", like)
         object.__setattr__(self, "depth", depth)
@@ -120,10 +125,12 @@ def encode_direct(
         raise ConfigError(f"unknown exponent {exponent!r}")
     xs, ys = _pixel_axes(grid.height, grid.width)
     k = p25.num_keypoints
-    like = np.zeros((k, grid.height, grid.width))
-    depth = np.zeros_like(like)
+    # every map is written below, so the outputs skip calloc's zeroing
+    like = np.empty((k, grid.height, grid.width))
+    depth = np.empty_like(like)
     for i in range(k):
         if not p25.valid[i]:
+            like[i] = depth[i] = 0.0
             continue
         x, y = p25.xy[i]
         inside = 0.0 <= x <= grid.width - 1 and 0.0 <= y <= grid.height - 1
@@ -132,13 +139,19 @@ def encode_direct(
                 raise OutOfGridError(f"keypoint {i} at ({x:g}, {y:g}) is outside the grid")
             x = min(max(x, 0.0), grid.width - 1.0)
             y = min(max(y, 0.0), grid.height - 1.0)
-        d2 = (xs - x) ** 2 + (ys - y) ** 2
-        arg = d2 if exponent == "l2sq" else np.sqrt(d2)
-        like[i] = np.exp(-arg / (sigma * sigma))
+        # exp(-arg / sigma^2), computed in like[i] itself in the order of
+        # the formula, so no map-sized temporary is made
+        m = like[i]
+        np.add((xs - x) ** 2, (ys - y) ** 2, out=m)
+        if exponent == "l1":
+            np.sqrt(m, out=m)
+        # -a / b and a / -b round to the same double
+        m /= -(sigma * sigma)
+        np.exp(m, out=m)
         # the map peaks at the nearest pixel; H25D stores it as float32
-        if np.float32(like[i, round(y), round(x)]) == 0.0:
+        if np.float32(m[round(y), round(x)]) == 0.0:
             raise ConfigError(f"sigma {sigma:g} is too small: keypoint {i}'s map underflows to 0")
-        depth[i] = p25.zr[i] * like[i]
+        np.multiply(p25.zr[i], m, out=depth[i])
     return HeatmapStack(kind="direct", likelihood=like, depth=depth)
 
 
@@ -167,6 +180,8 @@ def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
     maps = np.asarray(latent, dtype=np.float64)
     if maps.ndim != 3:
         raise ShapeMismatchError("latent maps must be (K, H, W)")
+    if 0 in maps.shape[1:]:
+        raise ShapeMismatchError(f"latent maps {maps.shape} have a zero-length spatial axis")
     if maps.shape[0] != spread.beta.shape[0]:
         raise ShapeMismatchError("one beta per keypoint required")
     return _softmax(maps, spread.beta)
@@ -175,17 +190,21 @@ def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
 def _softmax(maps: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Spatial softmax of (..., K, H, W) maps with (..., K) spreads; the
     leading dims broadcast. Each map is reduced on its own, so a batched
-    call gives the same bits as one call per map stack."""
+    call gives the same bits as one call per map stack. Every step after
+    the first runs in the one output array."""
     s = beta[..., None, None] * maps
-    s = s - s.max(axis=(-2, -1), keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=(-2, -1), keepdims=True)
+    s -= s.max(axis=(-2, -1), keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=(-2, -1), keepdims=True)
+    return s
 
 
 def _check_prob(prob: np.ndarray) -> np.ndarray:
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2:
         raise ShapeMismatchError("probability map must be (H, W)")
+    if prob.size == 0:
+        raise ShapeMismatchError(f"probability map {prob.shape} has a zero-length axis")
     if prob.min() < 0:
         raise NotNormalizedError("probability map has negative entries")
     total = prob.sum()
@@ -223,16 +242,20 @@ def decode_latent(stack: HeatmapStack, spread: SpreadParams) -> Pose25D:
     if stack.kind != "latent":
         raise ConfigError("decode_latent expects a latent-kind stack")
     prob = spatial_softmax(stack.likelihood, spread)
-    x, y, zr = _decode(prob, stack.depth)
+    x, y, zr = _decode(prob, stack.depth, out=prob)
     return Pose25D(xy=np.stack([x, y], axis=1), zr=zr)
 
 
-def _decode(prob: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode(
+    prob: np.ndarray, depth: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected x, y and depth under (..., K, H, W) probability maps: x
     and y take prob's leading dims, the depth those of prob and depth
-    broadcast together."""
+    broadcast together. The product prob * depth goes into `out`, which
+    decode_latent sets to its own prob; gradcheck's batched forward leaves
+    it None, since there depth may carry leading dims that prob lacks."""
     x, y = _expected_xy(prob)
-    return x, y, (prob * depth).sum(axis=(-2, -1))
+    return x, y, np.multiply(prob, depth, out=out).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +266,25 @@ def _decode(prob: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _vjp_softmax(
-    prob: np.ndarray, latent: np.ndarray, spread: SpreadParams, weight: np.ndarray
+    prob: np.ndarray,
+    latent: np.ndarray,
+    spread: SpreadParams,
+    weight: np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents of (latent maps, beta) given prob = spatial_softmax(latent,
-    spread) and the cotangent `weight` of prob: ds = prob * (weight - E_prob[weight])."""
-    ds = prob * (weight - (prob * weight).sum(axis=(1, 2), keepdims=True))
-    return spread.beta[:, None, None] * ds, (ds * latent).sum(axis=(1, 2))
+    spread) and the cotangent `weight` of prob: ds = prob * (weight - E_prob[weight]).
+
+    The latent cotangent is built in `out` and the products go through the
+    full-size scratch `tmp`; either is allocated when None. A caller that
+    owns `weight` may pass it as `out`; no other argument is written to."""
+    tmp = np.multiply(prob, weight, out=tmp)
+    ds = np.subtract(weight, tmp.sum(axis=(1, 2), keepdims=True), out=out)
+    ds *= prob
+    cot_beta = np.multiply(ds, latent, out=tmp).sum(axis=(1, 2))
+    ds *= spread.beta[:, None, None]
+    return ds, cot_beta
 
 
 def vjp_softargmax(prob: np.ndarray, upstream_xy: tuple[float, float]) -> np.ndarray:
@@ -299,7 +335,12 @@ def vjp_decode_latent(
     prob = spatial_softmax(stack.likelihood, spread)
     xs, ys = _pixel_axes(h, w)
     gx, gy, gz = upstream.T[:, :, None, None]
-    # w(p): how much moving probability mass onto pixel p changes the output
-    weight = gx * xs + gy * ys + gz * stack.depth
-    cot_likelihood, cot_beta = _vjp_softmax(prob, stack.likelihood, spread, weight)
-    return cot_likelihood, gz * prob, cot_beta
+    # w(p) = gx x + gy y + gz depth(p): how much moving probability mass
+    # onto pixel p changes the output; it becomes the latent cotangent
+    tmp = np.multiply(gz, stack.depth)
+    weight = np.add(gx * xs, gy * ys)
+    weight += tmp
+    cot_likelihood, cot_beta = _vjp_softmax(
+        prob, stack.likelihood, spread, weight, out=weight, tmp=tmp
+    )
+    return cot_likelihood, np.multiply(prob, gz, out=prob), cot_beta

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import ConfigError, DataFormatError, ShapeMismatchError
+from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeMismatchError
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
 from .skeleton import BoneStats, canonical_skeleton
@@ -309,33 +310,40 @@ def write_h25d(path: str | Path, stack: HeatmapStack) -> None:
     header = _H25D_HEADER.pack(H25D_MAGIC, H25D_VERSION, k, h, w, kind)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(stack.likelihood, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(stack.depth, dtype="<f4").tobytes())
+        # one (H, W) map at a time, so the float32 copy stays map-sized
+        for maps in (stack.likelihood, stack.depth):
+            for m in maps:
+                fh.write(np.ascontiguousarray(m, dtype="<f4"))
 
 
 def read_h25d(path: str | Path) -> HeatmapStack:
-    raw = Path(path).read_bytes()
-    if len(raw) < _H25D_HEADER.size:
-        raise DataFormatError("file too short for an H25D header")
-    magic, version, k, h, w, kind_idx = _H25D_HEADER.unpack_from(raw)
-    if magic != H25D_MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}")
-    if version != H25D_VERSION:
-        raise DataFormatError(f"unsupported H25D version {version}")
-    if kind_idx >= len(_KINDS):
-        raise DataFormatError(f"unknown heatmap kind byte {kind_idx}")
-    if 0 in (k, h, w):
-        raise DataFormatError(f"empty heatmap stack: K={k}, H={h}, W={w}")
-    count = k * h * w
-    expected = _H25D_HEADER.size + 2 * count * 4
-    if len(raw) != expected:
-        raise DataFormatError(f"expected {expected} bytes, found {len(raw)}")
-    body = np.frombuffer(raw, dtype="<f4", offset=_H25D_HEADER.size)
-    like = body[:count].reshape(k, h, w)
-    depth = body[count:].reshape(k, h, w)
-    if not (np.all(np.isfinite(like)) and np.all(np.isfinite(depth))):
-        raise DataFormatError("heatmap payload contains non-finite values")
-    return HeatmapStack(kind=_KINDS[kind_idx], likelihood=like, depth=depth)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _H25D_HEADER.size:
+            raise DataFormatError("file too short for an H25D header")
+        magic, version, k, h, w, kind_idx = _H25D_HEADER.unpack(fh.read(_H25D_HEADER.size))
+        if magic != H25D_MAGIC:
+            raise DataFormatError(f"bad magic {magic!r}")
+        if version != H25D_VERSION:
+            raise DataFormatError(f"unsupported H25D version {version}")
+        if kind_idx >= len(_KINDS):
+            raise DataFormatError(f"unknown heatmap kind byte {kind_idx}")
+        if 0 in (k, h, w):
+            raise DataFormatError(f"empty heatmap stack: K={k}, H={h}, W={w}")
+        expected = _H25D_HEADER.size + 2 * k * h * w * 4
+        if size != expected:
+            raise DataFormatError(f"expected {expected} bytes, found {size}")
+        # read map by map through one float32 buffer into the float64 stack
+        maps = np.empty((2 * k, h, w))
+        buf = np.empty((h, w), dtype="<f4")
+        for m in maps:
+            if fh.readinto(buf) != buf.nbytes:
+                raise DataFormatError(f"file shrank below {expected} bytes while reading")
+            m[...] = buf
+    try:
+        return HeatmapStack(kind=_KINDS[kind_idx], likelihood=maps[:k], depth=maps[k:])
+    except NonFiniteError:
+        raise DataFormatError("heatmap payload contains non-finite values") from None
 
 
 # --- evaluation outputs -----------------------------------------------------
