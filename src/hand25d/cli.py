@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .camera import CameraIntrinsics, project
+from .camera import CameraIntrinsics, _rows as _camera_rows, project
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -35,11 +35,11 @@ from .heatmap import (
     encode_direct,
 )
 from .metrics import PROTOCOLS, evaluate
-from .pose25d import NormalizationConfig, to_25d
-from .reconstruct import absolute_pose, reconstruct_pose, recover_scale
+from .pose25d import NormalizationConfig, _to_25d_rows, to_25d
+from .reconstruct import _reconstruct_rows, absolute_pose, reconstruct_pose, recover_scale
 from .skeleton import canonical_skeleton, shorten_fingertips
 from .synth import SynthConfig, gen_pose
-from .types import Pose25D
+from .types import Pose3D, Pose25D
 
 NUMERICAL_ERRORS = (
     NoRealSolutionError,
@@ -113,20 +113,68 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _stacked(records: list[serialize.PoseRecord], key: str, shape: tuple, dtype=np.float64):
+    """One view of every record as an (N, *shape) array, zeros where a record lacks it."""
+    blank = np.zeros(shape, dtype)
+    rows = [blank if (v := getattr(rec, key)) is None else v for rec in records]
+    return np.array(rows, dtype).reshape(len(rows), *shape)
+
+
+def _each_record(records, work, soft, noun: str, verb: str) -> tuple[list, int]:
+    """work(i, rec) for each record in order, and the number that failed. A
+    `soft` exception counts the record as failed: its result is None, and a
+    line goes to stderr. Any other library error names the record and keeps
+    its class, so the exit code holds."""
+    results, failures = [], 0
+    for i, rec in enumerate(records):
+        try:
+            results.append(work(i, rec))
+        except soft as exc:
+            failures += 1
+            print(f"record {i}: {noun} failed: {exc}", file=sys.stderr)
+            results.append(None)
+        except Hand25DError as exc:
+            raise type(exc)(f"record {i}: {exc}") from exc
+    if failures:
+        print(f"{failures}/{len(records)} records failed to {verb}", file=sys.stderr)
+    return results, failures
+
+
+def _failed(rec: serialize.PoseRecord) -> serialize.PoseRecord:
+    """A failed record as written: every keypoint invalid, so no views."""
+    return serialize.PoseRecord(np.zeros(rec.num_keypoints, dtype=bool), side=rec.side,
+                                camera=rec.camera, meta=rec.meta)
+
+
+def _camera_of(rec: serialize.PoseRecord) -> CameraIntrinsics:
+    if rec.camera is None:
+        raise DataFormatError("no camera available; pass --camera")
+    return rec.camera
+
+
 def _cmd_normalize(args) -> int:
     cfg = _norm_config(args)
     override = serialize.read_camera_json(args.camera) if args.camera else None
-    out = []
-    for i, rec in enumerate(_records(args.infile, override)):
-        try:
-            if rec.camera is None:
-                raise DataFormatError("no camera available; pass --camera")
-            p25 = to_25d(rec.pose3d(), rec.camera, cfg)
-        except Hand25DError as exc:  # same class, so the exit code holds
-            raise type(exc)(f"record {i}: {exc}") from exc
-        out.append(serialize.PoseRecord(rec.valid, px=p25.xy, zr_norm=p25.zr, side=rec.side,
-                                        camera=rec.camera, meta=rec.meta))
-    serialize.write_pose_records(args.out, out)
+    records = _records(args.infile, override)
+    k = canonical_skeleton().num_keypoints
+    px, zr, status = _to_25d_rows(
+        _stacked(records, "xyz_mm", (k, 3)), _stacked(records, "valid", (k,), bool),
+        _camera_rows([rec.camera for rec in records]), cfg)
+
+    def work(i, rec):
+        if status[i] or rec.camera is None or rec.xyz_mm is None:
+            cam = _camera_of(rec)  # the per-pose path, which raises the row's error
+            p25 = to_25d(rec.pose3d(), cam, cfg)
+            return p25.xy, p25.zr
+        return px[i], zr[i]
+
+    results, _ = _each_record(records, work, NoValidKeypointsError, "normalization",
+                              "normalize")
+    serialize.write_pose_records(args.out, [
+        _failed(rec) if res is None else serialize.PoseRecord(
+            rec.valid, px=res[0], zr_norm=res[1], side=rec.side, camera=rec.camera,
+            meta=rec.meta)
+        for rec, res in zip(records, results)])
     return 0
 
 
@@ -136,32 +184,33 @@ def _cmd_reconstruct(args) -> int:
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     skel = canonical_skeleton()
     records = _records(args.infile, override)
-    out = []
-    failures = 0
-    for i, rec in enumerate(records):
-        try:
-            if rec.camera is None:
-                raise DataFormatError("no camera available; pass --camera")
-            pose = reconstruct_pose(rec.pose25d(), rec.camera, cfg)
-            if stats is not None:
-                # recover_scale returns mm per normalized unit; absolute_pose
-                # expects the metric pair-bone length, i.e. c times that
-                pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
-            valid, xyz = pose.valid, pose.xyz
-        except (*NUMERICAL_ERRORS, NoValidKeypointsError) as exc:  # e.g. an invalid pair
-            failures += 1
-            print(f"record {i}: reconstruction failed: {exc}", file=sys.stderr)
-            valid, xyz = np.zeros(rec.num_keypoints, dtype=bool), None
-        except Hand25DError as exc:  # same class, so the exit code holds
-            raise type(exc)(f"record {i}: {exc}") from exc
-        out.append(serialize.PoseRecord(valid, xyz_mm=xyz, side=rec.side, camera=rec.camera,
-                                        meta=rec.meta))
-    serialize.write_pose_records(args.out, out)
-    if failures:
-        print(f"{failures}/{len(records)} records failed to reconstruct", file=sys.stderr)
-        if args.strict:
-            return 4
-    return 0
+    k = skel.num_keypoints
+    xyz, status = _reconstruct_rows(
+        _stacked(records, "px", (k, 2)), _stacked(records, "zr_norm", (k,)),
+        _stacked(records, "valid", (k,), bool), _camera_rows([rec.camera for rec in records]),
+        cfg)
+
+    def work(i, rec):
+        if status[i] or rec.camera is None or rec.px is None or rec.zr_norm is None:
+            cam = _camera_of(rec)  # the per-pose path, which raises the row's error
+            if not rec.valid.any():  # e.g. a record normalize failed, which has no views
+                raise NoValidKeypointsError("record has no valid keypoint")
+            pose = reconstruct_pose(rec.pose25d(), cam, cfg)
+        else:
+            pose = Pose3D(xyz[i], rec.valid)
+        if stats is not None:
+            # recover_scale returns mm per normalized unit; absolute_pose
+            # expects the metric pair-bone length, i.e. c times that
+            pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
+        return pose
+
+    results, failures = _each_record(records, work, (*NUMERICAL_ERRORS, NoValidKeypointsError),
+                                     "reconstruction", "reconstruct")
+    serialize.write_pose_records(args.out, [
+        _failed(rec) if pose is None else serialize.PoseRecord(
+            pose.valid, xyz_mm=pose.xyz, side=rec.side, camera=rec.camera, meta=rec.meta)
+        for rec, pose in zip(records, results)])
+    return 4 if failures and args.strict else 0
 
 
 def _cmd_encode(args) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _lift, normalized_image_coords
+from .camera import CameraIntrinsics, _columns, _lift, normalized_image_coords
 from .errors import (
     BadScaleError,
     DegenerateProjectionError,
@@ -115,6 +115,60 @@ def reconstruct_pose(
     if np.any(z[p25.valid] <= 0):
         raise NonPositiveDepthError("reconstruction placed a valid keypoint behind the camera")
     return Pose3D(xyz=_lift(rays, z, p25.valid), valid=p25.valid.copy())
+
+
+# The status codes of `_reconstruct_rows`: 0 is success, any other code the
+# class reconstruct_pose raises for the row.
+_STATUS = (None, NoValidKeypointsError, NonFiniteError, DegenerateProjectionError,
+           NoRealSolutionError, NonPositiveDepthError)
+
+
+def _libm_squares(v: np.ndarray) -> np.ndarray:
+    """v ** 2 element by element as numpy scalars, which is libm's pow, as
+    quadratic_coefficients computes it. An array's ** 2 is the exact square,
+    and the two differ in the last bit on about 0.1% of inputs."""
+    return np.array([t ** 2 for t in v], dtype=np.float64)
+
+
+def _reconstruct_rows(
+    px: np.ndarray,
+    zr: np.ndarray,
+    valid: np.ndarray,
+    cams: np.ndarray,
+    cfg: NormalizationConfig = NormalizationConfig(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """reconstruct_pose of N 2.5D poses at once: px (N, K, 2), zr (N, K),
+    valid (N, K) and camera rows (N, 5) of (fx, fy, cx, cy, skew) give xyz
+    (N, K, 3) and a status per row. Where the status is 0, row i is
+    reconstruct_pose's xyz bit for bit; otherwise `_STATUS[status]` is the
+    class reconstruct_pose raises, and the row's values are meaningless (one
+    exception: where the pair's zr differ by more than ~1e154, Python's float
+    power in reconstruct_pose raises OverflowError, and the status is
+    NonFiniteError's). The arithmetic runs under np.errstate(all="ignore"), so
+    an overflowing row does not warn as reconstruct_pose does."""
+    n, m = cfg.pair
+    with np.errstate(all="ignore"):
+        rays = normalized_image_coords(np.where(valid[..., None], px, 0.0), _columns(cams))
+        zr = np.where(valid, zr, 0.0)
+        (xn, yn), (xm, ym), zn, zm = rays[:, n].T, rays[:, m].T, zr[:, n], zr[:, m]
+        sq = _libm_squares  # quadratic_coefficients' formula, with its squares
+        a = sq(xn - xm) + sq(yn - ym)
+        b = zn * (xn * xn + yn * yn - xn * xm - yn * ym) + zm * (
+            xm * xm + ym * ym - xn * xm - yn * ym
+        )
+        cc = sq(xn * zn - xm * zm) + sq(yn * zn - ym * zm) + sq(zn - zm) - cfg.c * cfg.c
+        # solve_zroot, whose max(disc, 0.0) keeps a -0.0 that np.maximum would not
+        disc = b * b - a * cc
+        z = ((-b + np.sqrt(np.where(disc < 0.0, 0.0, disc))) / a)[:, None] + zr
+        xyz = _lift(rays, z, valid)
+    status = np.select(
+        [~(valid[:, n] & valid[:, m]),
+         ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(cc)),
+         a <= DEGENERATE_A,
+         disc < DISCRIMINANT_SLACK,
+         (valid & (z <= 0)).any(axis=1)],
+        [1, 2, 3, 4, 5])
+    return xyz, status
 
 
 def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:

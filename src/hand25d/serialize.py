@@ -15,6 +15,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -38,18 +39,27 @@ def _reject_constant(token: str):
     raise DataFormatError(f"non-finite JSON number {token!r}")
 
 
-def _loads(line: str):
+# One decoder and one encoder for every line: json.loads and json.dumps build
+# a new one per call when given options.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _loads(text: str):
     try:
-        return json.loads(line, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # json.loads' BOM check, which JSONDecoder.decode lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}") from exc
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 _NUMBER = {int, float}  # the types json.loads gives a number; bool is not one
+_CHUNK_RECORDS = 256  # records whose numbers read_pose_records converts at once
 # Pose-record views: key (= PoseRecord field), values per keypoint (0: scalar), error text
 _VIEWS = (("px", 2, "[x, y]"), ("xyz_mm", 3, "[X, Y, Z]"), ("zr_norm", 0, "a number"))
 
@@ -134,9 +144,10 @@ def record_to_dict(rec: PoseRecord) -> dict:
     return out
 
 
-def _read_view(kps: list, valid: list, key: str, width: int, form: str) -> np.ndarray | None:
-    """One view of all keypoints as a (K, width) array, (K,) for width 0, or
-    None if no keypoint has it; an invalid keypoint without it reads as 0.0."""
+def _view_values(kps: list, valid: list, key: str, width: int, form: str) -> list | None:
+    """One view of all keypoints as one flat list of JSON values, or None if
+    no keypoint has it; an invalid keypoint without it reads as 0.0. Checks
+    the structure only, not that the values are numbers."""
     if not any(key in e for e in kps):
         return None
     pad = [0.0] * max(width, 1)
@@ -151,17 +162,35 @@ def _read_view(kps: list, valid: list, key: str, width: int, form: str) -> np.nd
             raise DataFormatError(f"keypoint {i}: {key} must be {form}")
         else:
             flat.append(value)
+    return flat
+
+
+def _floats(flat: list) -> np.ndarray | None:
+    """flat as a float64 array, or None unless every value is a finite int or float."""
     try:
         arr = np.array(flat, dtype=np.float64) if set(map(type, flat)) <= _NUMBER else None
     except OverflowError:  # an integer beyond the float range
-        arr = None
-    if arr is None or not np.isfinite(arr).all():
+        return None
+    return arr if arr is not None and np.isfinite(arr).all() else None
+
+
+def _read_view(kps: list, valid: list, key: str, width: int, form: str) -> np.ndarray | None:
+    """One view of all keypoints as a (K, width) array, (K,) for width 0, or
+    None if no keypoint has it; an invalid keypoint without it reads as 0.0."""
+    flat = _view_values(kps, valid, key, width, form)
+    if flat is None:
+        return None
+    arr = _floats(flat)
+    if arr is None:
         for j, value in enumerate(flat):  # name the first bad value
-            _finite(value, f"keypoint {j // len(pad)} {key}")
+            _finite(value, f"keypoint {j // max(width, 1)} {key}")
     return arr.reshape((len(kps), width) if width else len(kps))
 
 
-def record_from_dict(obj: dict) -> PoseRecord:
+def _record_fields(obj, read_view) -> tuple:
+    """record_from_dict's checks, in its order, with each view read by
+    read_view(kps, valid, key, width, form): the valid flags (a list), the
+    three views, side, camera and meta."""
     if not isinstance(obj, dict):
         raise DataFormatError("pose record must be a JSON object")
     version = obj.get("schema_version")
@@ -185,17 +214,39 @@ def record_from_dict(obj: dict) -> PoseRecord:
     for i, flag in enumerate(valid):
         if type(flag) is not bool:
             raise DataFormatError(f"keypoint {i}: valid must be true or false, got {flag!r}")
-    views = {key: _read_view(kps, valid, key, width, form) for key, width, form in _VIEWS}
+    views = [read_view(kps, valid, key, width, form) for key, width, form in _VIEWS]
     for i, (entry, name) in enumerate(zip(kps, skel.names)):
         if entry.get("name", name) != name:
             raise DataFormatError(f"keypoint {i}: name {entry['name']!r}, expected {name!r}")
-    return PoseRecord(
-        valid=np.array(valid, dtype=bool),
-        **views,
-        side=obj.get("side", "right"),
-        camera=camera_from_dict(obj["camera"]) if "camera" in obj else None,
-        meta=obj.get("meta"),
-    )
+    camera = camera_from_dict(obj["camera"]) if "camera" in obj else None
+    return valid, *views, obj.get("side", "right"), camera, obj.get("meta")
+
+
+def record_from_dict(obj: dict) -> PoseRecord:
+    valid, *rest = _record_fields(obj, _read_view)
+    return PoseRecord(np.array(valid, dtype=bool), *rest)
+
+
+def _chunk_records(fields: list[tuple]) -> list[PoseRecord]:
+    """PoseRecords of `_record_fields(obj, _view_values)` results, with one
+    conversion and one finiteness check per view for all of them; each record
+    gets rows of those arrays. Raises DataFormatError, without naming the
+    record, if a value is not a finite number."""
+    if not fields:
+        return []
+    k = canonical_skeleton().num_keypoints
+    columns = [list(col) for col in zip(*fields)]
+    columns[0] = np.array(columns[0], dtype=bool)
+    for v, (key, width, _) in enumerate(_VIEWS, start=1):
+        have = [i for i, flat in enumerate(columns[v]) if flat is not None]
+        if have:
+            arr = _floats(list(chain.from_iterable(columns[v][i] for i in have)))
+            if arr is None:
+                raise DataFormatError(f"a {key} value is not a finite number")
+            shape = (len(have), k, width) if width else (len(have), k)
+            for i, row in zip(have, arr.reshape(shape)):
+                columns[v][i] = row
+    return [PoseRecord(*row) for row in zip(*columns)]
 
 
 def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
@@ -205,16 +256,45 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:
-    records = []
+    """Every record of a JSONL file. Each line's structure is checked as it
+    is read; the numbers of up to _CHUNK_RECORDS records are converted and
+    checked at once. On any error the open chunk's lines are read again one
+    at a time, so the error names the first bad line in file order, with
+    record_from_dict's message."""
+    records: list[PoseRecord] = []
+    chunk: list[tuple[int, str, tuple]] = []  # (line number, line, fields)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                try:
-                    records.append(record_from_dict(_loads(line)))
-                except DataFormatError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+            if not line:
+                continue
+            try:
+                chunk.append((lineno, line, _record_fields(_loads(line), _view_values)))
+            except DataFormatError:
+                _raise_first_bad_line(path, chunk + [(lineno, line, ())])
+                raise
+            if len(chunk) == _CHUNK_RECORDS:
+                records += _read_chunk(path, chunk)
+                chunk = []
+    return records + _read_chunk(path, chunk)
+
+
+def _read_chunk(path, chunk: list[tuple[int, str, tuple]]) -> list[PoseRecord]:
+    try:
+        return _chunk_records([fields for _, _, fields in chunk])
+    except DataFormatError:  # a value that is not a finite number, or a bad side
+        _raise_first_bad_line(path, chunk)
+        raise
+
+
+def _raise_first_bad_line(path, chunk: list[tuple[int, str, tuple]]) -> None:
+    """Raise record_from_dict's error for the first line of chunk it rejects,
+    named by path and line number."""
+    for lineno, line, _ in chunk:
+        try:
+            record_from_dict(_loads(line))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
 
 
 def flip_record_to_right(rec: PoseRecord) -> PoseRecord:

@@ -591,6 +591,57 @@ class TestExitCodes:
         assert rec[:3] + rec[4:] == ok[:3] + ok[4:]
         assert not serialize.read_pose_records(workdir / "rec.jsonl")[3].valid.any()
 
+    def test_normalize_failure_lines_come_before_a_later_record_error(self, workdir, capsys):
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
+        records[1] = dataclasses.replace(records[1], valid=np.arange(21) != 5)
+        records[2] = dataclasses.replace(records[2], camera=None, xyz_mm=None)
+        serialize.write_pose_records(workdir / "mixed.jsonl", records)
+        out = workdir / "n.jsonl"
+        assert main(["normalize", "--in", str(workdir / "mixed.jsonl"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "record 1: normalization failed: normalization pair (5, 0) must be valid in the "
+            "3D pose",
+            "error: record 2: no camera available; pass --camera"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keypoint, pair, cause", [
+        (5, "index_mcp:palm", "normalization pair (5, 0) must be valid in the 3D pose"),
+        (0, "index_pip:index_mcp", "root keypoint 0 must be valid in the 3D pose"),
+    ], ids=["pair", "root"])
+    def test_normalize_record_with_invalid_pair_or_root_fails_alone(self, workdir, capsys,
+                                                                    keypoint, pair, cause):
+        """normalize writes such a record all-invalid and exits 0; reconstruct
+        then counts it as one failed record, and eval as one failed pair."""
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
+        serialize.write_pose_records(workdir / "four.jsonl", records)
+        records[3] = dataclasses.replace(records[3], valid=np.arange(21) != keypoint)
+        serialize.write_pose_records(workdir / "hole.jsonl", records)
+        assert main(["normalize", "--in", str(workdir / "four.jsonl"), "--pair", pair,
+                     "--out", str(workdir / "ok.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["normalize", "--in", str(workdir / "hole.jsonl"), "--pair", pair,
+                     "--out", str(workdir / "n.jsonl")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"record 3: normalization failed: {cause}", "1/4 records failed to normalize"]
+        ok = (workdir / "ok.jsonl").read_text().splitlines()
+        norm = (workdir / "n.jsonl").read_text().splitlines()
+        assert norm[:3] == ok[:3]
+        failed = serialize.read_pose_records(workdir / "n.jsonl")[3]
+        assert not failed.valid.any() and failed.px is None and failed.zr_norm is None
+        assert failed.camera == records[3].camera
+
+        rec = str(workdir / "rec.jsonl")
+        assert main(["reconstruct", "--in", str(workdir / "n.jsonl"), "--strict", "--pair", pair,
+                     "--bone-stats", str(workdir / "stats.json"), "--out", rec]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "record 3: reconstruction failed: record has no valid keypoint",
+            "1/4 records failed to reconstruct"]
+        report = workdir / "report.json"
+        assert main(["eval", "--pred", rec, "--gt", str(workdir / "hole.jsonl"),
+                     "--protocol", "absolute_with_scale", "--space", "3d",
+                     "--out", str(report)]) == 0
+        assert serialize.read_report_json(report).num_failed == 1
+
     def test_eval_of_an_all_failed_reconstruction_is_3(self, workdir, capsys):
         gts = serialize.read_pose_records(workdir / "gt.jsonl")[:2]
         degenerate = serialize.PoseRecord(
@@ -881,9 +932,6 @@ REJECTIONS = {
         "thresholds must look like 20:50:31, got '20:50'"),
     "encode-empty-file": (_encode_empty_file, "no records to encode"),
     "shorten-tips-without-xyz": (_shorten_tips_without_xyz, "record 0: shorten-tips needs xyz_mm"),
-    "normalize-record-with-invalid-pair": (
-        _record_3_changed("normalize", valid=np.arange(21) != 5),
-        "record 3: normalization pair (5, 0) must be valid in the 3D pose"),
     "normalize-record-without-xyz": (_record_3_changed("normalize", xyz_mm=None),
                                      "record 3: record carries no 3D coordinates"),
     "reconstruct-record-without-zr": (_record_3_changed("reconstruct", zr_norm=None),

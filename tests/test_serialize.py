@@ -3,6 +3,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,93 @@ class TestCodecProperties:
         assert (back.side, back.camera, back.meta) == (rec.side, rec.camera, rec.meta)
         obj["keypoints"] = [obj["keypoints"][i] for i in order]
         assert _bits(serialize.record_from_dict(obj)) == _bits(back)
+
+
+
+def _varied_records(count):
+    """Synth records that differ in which views, camera, side, meta and
+    valid keypoints they carry, so a chunk mixes every kind."""
+    records = synth_records(count, seed=2)
+    for i, rec in enumerate(records):
+        if i % 3 == 1:
+            rec.px = None
+        if i % 7 == 2:
+            rec.xyz_mm = None
+        if i % 5 == 3:
+            rec.side = "left"
+        if i % 11 == 4:
+            rec.camera = None
+        if i % 4 == 0:
+            rec.meta = {"i": i}
+        rec.valid[i % 21] = i % 2 == 0
+    return records
+
+
+def _line_by_line(path):
+    """The records of a file as record_from_dict reads each line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [serialize.record_from_dict(json.loads(line)) for line in lines if line.strip()]
+
+
+class TestChunkedReader:
+    """read_pose_records converts the numbers of up to 256 records at once;
+    every record still reads as record_from_dict reads its line, and an error
+    names the first bad line in file order with record_from_dict's message."""
+
+    @pytest.mark.parametrize("count", [255, 256, 257])
+    def test_chunk_boundaries(self, tmp_path, count):
+        path, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        serialize.write_pose_records(path, _varied_records(count))
+        back = serialize.read_pose_records(path)
+        assert [_bits(r) for r in back] == [_bits(r) for r in _line_by_line(path)]
+        serialize.write_pose_records(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(pose_records(), max_size=7), chunk=st.integers(1, 4))
+    def test_any_chunk_size(self, records, chunk):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(serialize, "_CHUNK_RECORDS", chunk):
+            path = Path(tmp, "a.jsonl")
+            serialize.write_pose_records(path, records)
+            back = serialize.read_pose_records(path)
+            assert [_bits(r) for r in back] == [_bits(r) for r in _line_by_line(path)]
+
+    NOT_FINITE = "keypoint 0 px must be finite, got inf"
+    NO_KEYPOINTS = "record has no keypoints array"
+
+    @pytest.mark.parametrize("bad_number, bad_structure", [
+        (2, 4), (4, 2), (3, 258), (258, 3), (257, 300), (300, 257),
+    ])
+    def test_first_bad_line_in_file_order(self, tmp_path, bad_number, bad_structure):
+        """A number that fails only at the chunk's conversion and a line whose
+        structure fails as it is read: the earlier line is the one reported."""
+        obj = serialize.record_to_dict(synth_records(1)[0])
+        good = json.dumps(obj)
+        lines = [good] * 300
+        # 1e400 parses to inf, which only the conversion of the numbers rejects
+        lines[bad_number - 1] = good.replace(json.dumps(obj["keypoints"][0]["px"]),
+                                             "[1e400, 0.0]", 1)
+        lines[bad_structure - 1] = json.dumps({**obj, "keypoints": {}})
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        first = min(bad_number, bad_structure)
+        message = self.NOT_FINITE if first == bad_number else self.NO_KEYPOINTS
+        with pytest.raises(DataFormatError) as exc:
+            serialize.read_pose_records(path)
+        assert str(exc.value) == f"{path}:{first}: {message}"
+
+    def test_bom_on_the_first_line(self, tmp_path):
+        """json.loads' BOM message, which a reused JSONDecoder lacks."""
+        line = "\ufeff" + json.dumps(serialize.record_to_dict(synth_records(1)[0]))
+        path = tmp_path / "bom.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as reference:
+            json.loads(line)
+        assert "BOM" in str(reference.value)
+        with pytest.raises(DataFormatError) as exc:
+            serialize.read_pose_records(path)
+        assert str(exc.value) == f"{path}:1: invalid JSON: {reference.value}"
 
 
 class TestSidecars:
