@@ -52,10 +52,15 @@ def project(pose: Pose3D, cam: CameraIntrinsics) -> tuple[Pose2D, np.ndarray]:
         raise BehindCameraError("all valid keypoints must have Z > 0")
     xy = np.zeros((pose.num_keypoints, 2))
     ok = pose.valid & (z > 0)
-    zi = z[ok]
-    xy[ok, 0] = cam.fx * pose.xyz[ok, 0] / zi + cam.skew * pose.xyz[ok, 1] / zi + cam.cx
-    xy[ok, 1] = cam.fy * pose.xyz[ok, 1] / zi + cam.cy
+    x, y, zi = pose.xyz[ok].T
+    xy[ok, 0], xy[ok, 1] = _pixels(x, y, zi, cam)
     return Pose2D(xy=xy, valid=pose.valid.copy()), z.copy()
+
+
+def _pixels(x, y, z, cam):
+    """The pinhole projection (u, v) of points (x, y, z), z != 0; cam is a
+    CameraIntrinsics or `_Columns` that broadcast against the coordinates."""
+    return cam.fx * x / z + cam.skew * y / z + cam.cx, cam.fy * y / z + cam.cy
 
 
 def backproject(p: Pose2D, depths: np.ndarray, cam: CameraIntrinsics) -> Pose3D:
@@ -90,8 +95,8 @@ def _lift(rays: np.ndarray, z: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 class _Columns(NamedTuple):
     """The intrinsics of N cameras as (N, 1) columns. They broadcast against
-    (N, K) arrays, so `normalized_image_coords` takes them where it takes a
-    CameraIntrinsics, and a batched kernel writes a per-pose formula unchanged."""
+    (N, K) arrays, so `normalized_image_coords` and `_pixels` take them where
+    they take a CameraIntrinsics."""
 
     fx: np.ndarray
     fy: np.ndarray
@@ -100,13 +105,8 @@ class _Columns(NamedTuple):
     skew: np.ndarray
 
 
-def _rows(cams: list[CameraIntrinsics | None]) -> np.ndarray:
-    """(N, 5) rows (fx, fy, cx, cy, skew); None reads as the identity K."""
+def _columns(cams: list[CameraIntrinsics | None]) -> _Columns:
+    """`_Columns` of N cameras; None reads as the identity K."""
     rows = [(1.0, 1.0, 0.0, 0.0, 0.0) if c is None else (c.fx, c.fy, c.cx, c.cy, c.skew)
             for c in cams]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 5)
-
-
-def _columns(rows: np.ndarray) -> _Columns:
-    """`_Columns` of (N, 5) rows (fx, fy, cx, cy, skew)."""
-    return _Columns(*np.asarray(rows, dtype=np.float64).T[:, :, None])
+    return _Columns(*np.array(rows, dtype=np.float64).reshape(len(rows), 5).T[:, :, None])

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .camera import CameraIntrinsics, _rows as _camera_rows, project
+from .camera import CameraIntrinsics, _columns as _camera_columns, project
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -157,14 +157,15 @@ def _cmd_normalize(args) -> int:
     override = serialize.read_camera_json(args.camera) if args.camera else None
     records = _records(args.infile, override)
     k = canonical_skeleton().num_keypoints
-    px, zr, status = _to_25d_rows(
+    px, zr, ok = _to_25d_rows(
         _stacked(records, "xyz_mm", (k, 3)), _stacked(records, "valid", (k,), bool),
-        _camera_rows([rec.camera for rec in records]), cfg)
+        _camera_columns([rec.camera for rec in records]), cfg)
 
     def work(i, rec):
-        if status[i] or rec.camera is None or rec.xyz_mm is None:
+        if not ok[i] or rec.camera is None or rec.xyz_mm is None:
             cam = _camera_of(rec)  # the per-pose path, which raises the row's error
-            p25 = to_25d(rec.pose3d(), cam, cfg)
+            with np.errstate(all="ignore"):  # as quiet as the kernel
+                p25 = to_25d(rec.pose3d(), cam, cfg)
             return p25.xy, p25.zr
         return px[i], zr[i]
 
@@ -185,17 +186,18 @@ def _cmd_reconstruct(args) -> int:
     skel = canonical_skeleton()
     records = _records(args.infile, override)
     k = skel.num_keypoints
-    xyz, status = _reconstruct_rows(
+    xyz, ok = _reconstruct_rows(
         _stacked(records, "px", (k, 2)), _stacked(records, "zr_norm", (k,)),
-        _stacked(records, "valid", (k,), bool), _camera_rows([rec.camera for rec in records]),
-        cfg)
+        _stacked(records, "valid", (k,), bool),
+        _camera_columns([rec.camera for rec in records]), cfg)
 
     def work(i, rec):
-        if status[i] or rec.camera is None or rec.px is None or rec.zr_norm is None:
+        if not ok[i] or rec.camera is None or rec.px is None or rec.zr_norm is None:
             cam = _camera_of(rec)  # the per-pose path, which raises the row's error
             if not rec.valid.any():  # e.g. a record normalize failed, which has no views
                 raise NoValidKeypointsError("record has no valid keypoint")
-            pose = reconstruct_pose(rec.pose25d(), cam, cfg)
+            with np.errstate(all="ignore"):  # as quiet as the kernel
+                pose = reconstruct_pose(rec.pose25d(), cam, cfg)
         else:
             pose = Pose3D(xyz[i], rec.valid)
         if stats is not None:

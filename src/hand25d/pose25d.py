@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _columns, project
-from .errors import BehindCameraError, ConfigError, NoValidKeypointsError, ZeroBoneError
+from .camera import CameraIntrinsics, _Columns, _pixels, project
+from .errors import ConfigError, NoValidKeypointsError, ZeroBoneError
 from .skeleton import ROOT_INDEX, canonical_skeleton
 from .types import Pose3D, Pose25D
 
@@ -40,11 +40,24 @@ class NormalizationConfig:
 
 def normalization_scale(pose: Pose3D, cfg: NormalizationConfig = NormalizationConfig()) -> float:
     """Length s of the configured bone, in the pose's own units."""
-    n, m = cfg.pair
-    s = float(np.linalg.norm(pose.xyz[n] - pose.xyz[m]))
+    s = float(_pair_length(pose.xyz, cfg.pair))
     if s < MIN_BONE_MM:
         raise ZeroBoneError(f"normalization pair {cfg.pair} is degenerate (|bone| = {s:g})")
     return s
+
+
+def _pair_length(xyz: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Pair bone length of (..., K, 3) poses, with np.linalg.norm's bits for
+    each vector (norm over an axis does not give them)."""
+    n, m = pair
+    bone = xyz[..., n, :] - xyz[..., m, :]
+    return np.sqrt(np.vecdot(bone, bone))
+
+
+def _relative_depths(z: np.ndarray, scale) -> np.ndarray:
+    """(..., K) depths times `scale` (c / s), relative to the root keypoint."""
+    z_hat = scale * z
+    return z_hat - z_hat[..., ROOT_INDEX, None]
 
 
 def normalize_pose(
@@ -72,45 +85,30 @@ def to_25d(
     if not pose.valid[ROOT_INDEX]:
         raise NoValidKeypointsError(f"root keypoint {ROOT_INDEX} must be valid in the 3D pose")
     p2d, z = project(pose, cam)
-    s = normalization_scale(pose, cfg)
-    z_hat = (cfg.c / s) * z
-    zr = z_hat - z_hat[ROOT_INDEX]
+    zr = _relative_depths(z, cfg.c / normalization_scale(pose, cfg))
     return Pose25D(xy=p2d.xy, zr=zr, root=ROOT_INDEX, valid=pose.valid.copy())
-
-
-# The status codes of `_to_25d_rows`: 0 is success, any other code the class
-# to_25d raises for the row.
-_STATUS = (None, NoValidKeypointsError, BehindCameraError, ZeroBoneError)
 
 
 def _to_25d_rows(
     xyz: np.ndarray,
     valid: np.ndarray,
-    cams: np.ndarray,
+    cams: _Columns,
     cfg: NormalizationConfig = NormalizationConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """to_25d of N poses at once: xyz (N, K, 3), valid (N, K) and camera rows
-    (N, 5) of (fx, fy, cx, cy, skew) give px (N, K, 2), zr (N, K) and a status
-    per row. Where the status is 0, row i is to_25d's xy and zr bit for bit;
-    otherwise `_STATUS[status]` is the class to_25d raises, and the row's
-    values are meaningless. The arithmetic runs under np.errstate(all="ignore"),
-    so an overflowing row does not warn as to_25d does."""
+    """to_25d of N poses at once: xyz (N, K, 3), valid (N, K) and N cameras
+    give px (N, K, 2), zr (N, K) and ok (N,). ok[i] holds exactly when to_25d
+    raises nothing for row i, and then the row is to_25d's xy and zr bit for
+    bit; otherwise its values are meaningless. The arithmetic runs under
+    np.errstate(all="ignore"), so an overflowing row does not warn as to_25d
+    does."""
     n, m = cfg.pair
-    cam = _columns(cams)
-    x, y, z = np.moveaxis(xyz, -1, 0)
-    ok = valid & (z > 0)
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    inside = valid & (z > 0)
     with np.errstate(all="ignore"):
-        zi = np.where(ok, z, 1.0)
-        u = cam.fx * x / zi + cam.skew * y / zi + cam.cx  # project's formula
-        v = cam.fy * y / zi + cam.cy
-        px = np.stack([np.where(ok, u, 0.0), np.where(ok, v, 0.0)], axis=-1)
-        bone = xyz[:, n] - xyz[:, m]
-        s = np.sqrt(np.vecdot(bone, bone))  # np.linalg.norm's bits, row by row
-        z_hat = (cfg.c / s)[:, None] * z
-        zr = z_hat - z_hat[:, ROOT_INDEX, None]
-    status = np.select(
-        [~(valid[:, n] & valid[:, m] & valid[:, ROOT_INDEX]),
-         (valid & (z <= 0)).any(axis=1),
-         s < MIN_BONE_MM],
-        [1, 2, 3])
-    return px, zr, status
+        u, v = _pixels(x, y, np.where(inside, z, 1.0), cams)
+        px = np.stack([np.where(inside, u, 0.0), np.where(inside, v, 0.0)], axis=-1)
+        s = _pair_length(xyz, cfg.pair)
+        zr = _relative_depths(z, (cfg.c / s)[:, None])
+    ok = (valid[:, n] & valid[:, m] & valid[:, ROOT_INDEX]
+          & ~(valid & (z <= 0)).any(axis=1) & ~(s < MIN_BONE_MM))
+    return px, zr, ok

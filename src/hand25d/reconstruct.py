@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _columns, _lift, normalized_image_coords
+from .camera import CameraIntrinsics, _Columns, _lift, normalized_image_coords
 from .errors import (
     BadScaleError,
     DegenerateProjectionError,
@@ -61,19 +61,34 @@ def quadratic_coefficients(
 ) -> QuadraticCoeffs:
     """Build the root-depth quadratic from the pair's normalized image
     coordinates (already mapped through K^-1) and relative depths."""
-    xn, yn = pn
-    xm, ym = pm
-    a = (xn - xm) ** 2 + (yn - ym) ** 2
+    return QuadraticCoeffs(*_coefficients(*pn, *pm, zn, zm, c))
+
+
+def _square(v):
+    """v ** 2 with libm pow's bits, as a numpy scalar's ** 2 gives them, for a
+    scalar or a 1-D array. An array's ** 2 is the exact square, which differs
+    in the last bit on about 0.1% of inputs; a Python float's raises OverflowError."""
+    if isinstance(v, np.ndarray):
+        return np.array([t ** 2 for t in v], dtype=np.float64)
+    return np.float64(v) ** 2
+
+
+def _coefficients(xn, yn, xm, ym, zn, zm, c):
+    """(a, b, c_) of the root-depth quadratic, for scalars or (N,) arrays."""
+    a = _square(xn - xm) + _square(yn - ym)
     b = zn * (xn * xn + yn * yn - xn * xm - yn * ym) + zm * (
         xm * xm + ym * ym - xn * xm - yn * ym
     )
-    cc = (
-        (xn * zn - xm * zm) ** 2
-        + (yn * zn - ym * zm) ** 2
-        + (zn - zm) ** 2
-        - c * c
-    )
-    return QuadraticCoeffs(a=a, b=b, c=cc)
+    cc = _square(xn * zn - xm * zm) + _square(yn * zn - ym * zm) + _square(zn - zm) - c * c
+    return a, b, cc
+
+
+def _root(a, b, c):
+    """The larger root (-b + sqrt(b^2 - a c)) / a and the discriminant, for
+    scalars or arrays; a negative one counts as 0, and a -0.0 stays -0.0."""
+    disc = b * b - a * c
+    clamped = np.where(disc < 0.0, 0.0, disc) if isinstance(disc, np.ndarray) else max(disc, 0.0)
+    return (-b + np.sqrt(clamped)) / a, disc
 
 
 def solve_zroot(q: QuadraticCoeffs) -> float:
@@ -82,11 +97,10 @@ def solve_zroot(q: QuadraticCoeffs) -> float:
         raise DegenerateProjectionError(
             "pair projections coincide; root depth is unobservable"
         )
-    disc = q.b * q.b - q.a * q.c
+    root, disc = _root(q.a, q.b, q.c)
     if disc < DISCRIMINANT_SLACK:
         raise NoRealSolutionError(f"discriminant {disc:g} below tolerance")
-    disc = max(disc, 0.0)
-    return (-q.b + np.sqrt(disc)) / q.a
+    return root
 
 
 def reconstruct_pose(
@@ -107,8 +121,8 @@ def reconstruct_pose(
     q = quadratic_coefficients(
         (rays[n, 0], rays[n, 1]),
         (rays[m, 0], rays[m, 1]),
-        float(p25.zr[n]),
-        float(p25.zr[m]),
+        p25.zr[n],
+        p25.zr[m],
         cfg.c,
     )
     z = solve_zroot(q) + np.where(p25.valid, p25.zr, 0.0)
@@ -117,58 +131,31 @@ def reconstruct_pose(
     return Pose3D(xyz=_lift(rays, z, p25.valid), valid=p25.valid.copy())
 
 
-# The status codes of `_reconstruct_rows`: 0 is success, any other code the
-# class reconstruct_pose raises for the row.
-_STATUS = (None, NoValidKeypointsError, NonFiniteError, DegenerateProjectionError,
-           NoRealSolutionError, NonPositiveDepthError)
-
-
-def _libm_squares(v: np.ndarray) -> np.ndarray:
-    """v ** 2 element by element as numpy scalars, which is libm's pow, as
-    quadratic_coefficients computes it. An array's ** 2 is the exact square,
-    and the two differ in the last bit on about 0.1% of inputs."""
-    return np.array([t ** 2 for t in v], dtype=np.float64)
-
-
 def _reconstruct_rows(
     px: np.ndarray,
     zr: np.ndarray,
     valid: np.ndarray,
-    cams: np.ndarray,
+    cams: _Columns,
     cfg: NormalizationConfig = NormalizationConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """reconstruct_pose of N 2.5D poses at once: px (N, K, 2), zr (N, K),
-    valid (N, K) and camera rows (N, 5) of (fx, fy, cx, cy, skew) give xyz
-    (N, K, 3) and a status per row. Where the status is 0, row i is
-    reconstruct_pose's xyz bit for bit; otherwise `_STATUS[status]` is the
-    class reconstruct_pose raises, and the row's values are meaningless (one
-    exception: where the pair's zr differ by more than ~1e154, Python's float
-    power in reconstruct_pose raises OverflowError, and the status is
-    NonFiniteError's). The arithmetic runs under np.errstate(all="ignore"), so
-    an overflowing row does not warn as reconstruct_pose does."""
+    valid (N, K) and N cameras give xyz (N, K, 3) and ok (N,). ok[i] holds
+    exactly when reconstruct_pose raises nothing for row i, and then the row
+    is reconstruct_pose's xyz bit for bit; otherwise its values are
+    meaningless. The arithmetic runs under np.errstate(all="ignore"), so an
+    overflowing row does not warn as reconstruct_pose does."""
     n, m = cfg.pair
     with np.errstate(all="ignore"):
-        rays = normalized_image_coords(np.where(valid[..., None], px, 0.0), _columns(cams))
+        rays = normalized_image_coords(np.where(valid[..., None], px, 0.0), cams)
         zr = np.where(valid, zr, 0.0)
-        (xn, yn), (xm, ym), zn, zm = rays[:, n].T, rays[:, m].T, zr[:, n], zr[:, m]
-        sq = _libm_squares  # quadratic_coefficients' formula, with its squares
-        a = sq(xn - xm) + sq(yn - ym)
-        b = zn * (xn * xn + yn * yn - xn * xm - yn * ym) + zm * (
-            xm * xm + ym * ym - xn * xm - yn * ym
-        )
-        cc = sq(xn * zn - xm * zm) + sq(yn * zn - ym * zm) + sq(zn - zm) - cfg.c * cfg.c
-        # solve_zroot, whose max(disc, 0.0) keeps a -0.0 that np.maximum would not
-        disc = b * b - a * cc
-        z = ((-b + np.sqrt(np.where(disc < 0.0, 0.0, disc))) / a)[:, None] + zr
+        a, b, cc = _coefficients(rays[:, n, 0], rays[:, n, 1], rays[:, m, 0], rays[:, m, 1],
+                                 zr[:, n], zr[:, m], cfg.c)
+        zroot, disc = _root(a, b, cc)
+        z = zroot[:, None] + zr
         xyz = _lift(rays, z, valid)
-    status = np.select(
-        [~(valid[:, n] & valid[:, m]),
-         ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(cc)),
-         a <= DEGENERATE_A,
-         disc < DISCRIMINANT_SLACK,
-         (valid & (z <= 0)).any(axis=1)],
-        [1, 2, 3, 4, 5])
-    return xyz, status
+    ok = (valid[:, n] & valid[:, m] & np.isfinite(a) & np.isfinite(b) & np.isfinite(cc)
+          & (a > DEGENERATE_A) & ~(disc < DISCRIMINANT_SLACK) & ~(valid & (z <= 0)).any(axis=1))
+    return xyz, ok
 
 
 def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:

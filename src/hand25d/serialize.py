@@ -250,9 +250,17 @@ def _chunk_records(fields: list[tuple]) -> list[PoseRecord]:
 
 
 def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
+    """One JSONL line per record, written as it is made. A record holding NaN
+    or infinity raises DataFormatError naming its index; the lines before it
+    stay written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(_dumps(record_to_dict(rec)) + "\n")
+        for i, rec in enumerate(records):
+            obj = record_to_dict(rec)
+            try:
+                fh.write(_dumps(obj) + "\n")
+            except ValueError:  # the encoder's error for NaN and infinity
+                raise DataFormatError(f"record {i}: values must be finite; "
+                                      "JSON has no NaN or infinity") from None
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -641,6 +642,32 @@ class TestExitCodes:
                      "--protocol", "absolute_with_scale", "--space", "3d",
                      "--out", str(report)]) == 0
         assert serialize.read_report_json(report).num_failed == 1
+
+    @pytest.mark.parametrize("stage, view, keypoint, values, message, written", [
+        ("reconstruct", "zr_norm", 5, 1e200, "quadratic coefficients must be finite", 0),
+        ("normalize", "xyz_mm", 7, [1e307, 0.0, 1e-300],
+         "values must be finite; JSON has no NaN or infinity", 3),
+    ], ids=["reconstruct-pair-depth-overflows", "normalize-pixel-overflows"])
+    def test_overflowing_record_is_3_without_a_warning(self, workdir, capsys, stage, view,
+                                                       keypoint, values, message, written):
+        """A record whose arithmetic overflows ends the stage with its error
+        and exit 3, and numpy warns nothing: the zr of 1e200 overflows the
+        quadratic's coefficients, and X = 1e307 at Z = 1e-300 projects to an
+        infinite pixel, which the writer rejects after the records before it."""
+        records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
+        changed = getattr(records[3], view).copy()
+        changed[keypoint] = values
+        records[3] = dataclasses.replace(records[3], **{view: changed})
+        serialize.write_pose_records(workdir / "big.jsonl", records)
+        out = workdir / "out.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([stage, "--in", str(workdir / "big.jsonl"), "--out", str(out)]) == 3
+        assert not caught
+        assert capsys.readouterr().err.splitlines() == [f"error: record 3: {message}"]
+        lines = out.read_text().splitlines() if out.exists() else []
+        assert len(lines) == written
 
     def test_eval_of_an_all_failed_reconstruction_is_3(self, workdir, capsys):
         gts = serialize.read_pose_records(workdir / "gt.jsonl")[:2]

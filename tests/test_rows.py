@@ -1,6 +1,6 @@
 """The batched kernels behind the normalize and reconstruct stages equal
-the per-pose functions bit for bit, and their status codes name the
-exception class the per-pose function raises."""
+the per-pose functions bit for bit, and a row is ok exactly when the
+per-pose function raises nothing for it."""
 import math
 
 import numpy as np
@@ -8,14 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hand25d.camera import CameraIntrinsics, _rows
-from hand25d.errors import Hand25DError
-from hand25d.pose25d import _STATUS as TO_25D_STATUS
+from hand25d.camera import CameraIntrinsics, _columns
+from hand25d.errors import (
+    BehindCameraError,
+    DegenerateProjectionError,
+    Hand25DError,
+    NonFiniteError,
+    NonPositiveDepthError,
+    NoRealSolutionError,
+    NoValidKeypointsError,
+    ZeroBoneError,
+)
 from hand25d.pose25d import NormalizationConfig, _to_25d_rows, to_25d
-from hand25d.reconstruct import _STATUS as RECONSTRUCT_STATUS
 from hand25d.reconstruct import (
-    _libm_squares,
     _reconstruct_rows,
+    _square,
     quadratic_coefficients,
     reconstruct_pose,
 )
@@ -72,7 +79,7 @@ def _noisy_25d(rng, pair):
     zr = p25.zr + rng.normal(0.0, rng.choice([0.0, 0.05, 0.5]), 21)
     valid = rng.random(21) < 0.9
     n, m = pair
-    way = rng.integers(6)
+    way = rng.integers(7)
     if way == 1:  # the pair invalid
         valid[rng.choice(pair)] = False
     elif way == 2:  # the pair projects to one pixel
@@ -83,6 +90,8 @@ def _noisy_25d(rng, pair):
         zr[rng.integers(21)] = -1e9
     elif way == 5:  # pixels so large that the coefficients overflow
         px[n] = rng.choice([1e200, -1e300])
+    elif way == 6:  # a pair depth so large that its square overflows
+        zr[n] = rng.choice([1e200, -1e200])
     return px, zr, valid
 
 
@@ -97,14 +106,12 @@ class TestTo25DRows:
         rows = [_noisy_3d(rng, pair) for _ in range(n)]
         xyz = np.array([r[0] for r in rows]).reshape(n, 21, 3)
         valid = np.array([r[1] for r in rows], dtype=bool).reshape(n, 21)
-        px, zr, status = _to_25d_rows(xyz, valid, _rows(cams), cfg)
-        assert px.shape == (n, 21, 2) and zr.shape == (n, 21) and status.shape == (n,)
+        px, zr, ok = _to_25d_rows(xyz, valid, _columns(cams), cfg)
+        assert px.shape == (n, 21, 2) and zr.shape == (n, 21) and ok.shape == (n,)
         for i, cam in enumerate(cams):
             got = _outcome(to_25d, Pose3D(xyz[i], valid[i]), cam, cfg)
-            if isinstance(got, type):
-                assert TO_25D_STATUS[status[i]] is got
-            else:
-                assert status[i] == 0
+            assert ok[i] == (not isinstance(got, type))
+            if ok[i]:
                 assert _same_bits(px[i], got.xy) and _same_bits(zr[i], got.zr)
 
     def test_each_status_is_reached(self):
@@ -120,10 +127,10 @@ class TestTo25DRows:
         rows.append((zero, pose.valid))  # ZeroBoneError
         xyz, valid = (np.array(v) for v in zip(*rows))
         cam = SynthConfig().camera
-        _, _, status = _to_25d_rows(xyz, valid, _rows([cam] * 4), cfg)
-        assert status.tolist() == [0, 1, 2, 3]
-        for i in range(1, 4):
-            assert _outcome(to_25d, Pose3D(xyz[i], valid[i]), cam, cfg) is TO_25D_STATUS[i]
+        _, _, ok = _to_25d_rows(xyz, valid, _columns([cam] * 4), cfg)
+        assert ok.tolist() == [True, False, False, False]
+        raised = [_outcome(to_25d, Pose3D(xyz[i], valid[i]), cam, cfg) for i in range(1, 4)]
+        assert raised == [NoValidKeypointsError, BehindCameraError, ZeroBoneError]
 
 
 class TestReconstructRows:
@@ -138,45 +145,46 @@ class TestReconstructRows:
         px = np.array([r[0] for r in rows]).reshape(n, 21, 2)
         zr = np.array([r[1] for r in rows]).reshape(n, 21)
         valid = np.array([r[2] for r in rows], dtype=bool).reshape(n, 21)
-        xyz, status = _reconstruct_rows(px, zr, valid, _rows(cams), cfg)
-        assert xyz.shape == (n, 21, 3) and status.shape == (n,)
+        xyz, ok = _reconstruct_rows(px, zr, valid, _columns(cams), cfg)
+        assert xyz.shape == (n, 21, 3) and ok.shape == (n,)
         for i, cam in enumerate(cams):
             got = _outcome(reconstruct_pose, Pose25D(px[i], zr[i], valid=valid[i]), cam, cfg)
-            if isinstance(got, type):
-                assert RECONSTRUCT_STATUS[status[i]] is got
-            else:
-                assert status[i] == 0
+            assert ok[i] == (not isinstance(got, type))
+            if ok[i]:
                 assert _same_bits(xyz[i], got.xyz)
 
     def test_each_status_is_reached(self):
         cfg = NormalizationConfig()
         p25 = POSES[0][1]
-        px, zr = np.tile(p25.xy, (6, 1, 1)), np.tile(p25.zr, (6, 1))
-        valid = np.tile(p25.valid, (6, 1))
+        px, zr = np.tile(p25.xy, (7, 1, 1)), np.tile(p25.zr, (7, 1))
+        valid = np.tile(p25.valid, (7, 1))
         valid[1, 5] = False  # NoValidKeypointsError
         px[2, 5] = 1e300  # NonFiniteError
-        px[3, 0], zr[3, 0] = px[3, 5], zr[3, 5]  # DegenerateProjectionError
-        zr[4, 5] += 5.0  # NoRealSolutionError
-        zr[5, 9] = -1e9  # NonPositiveDepthError
+        zr[3, 5] = 1e200  # NonFiniteError, where Python's float power raised OverflowError
+        px[4, 0], zr[4, 0] = px[4, 5], zr[4, 5]  # DegenerateProjectionError
+        zr[5, 5] += 5.0  # NoRealSolutionError
+        zr[6, 9] = -1e9  # NonPositiveDepthError
         cam = SynthConfig().camera
-        _, status = _reconstruct_rows(px, zr, valid, _rows([cam] * 6), cfg)
-        assert status.tolist() == [0, 1, 2, 3, 4, 5]
-        for i in range(1, 6):
-            got = _outcome(reconstruct_pose, Pose25D(px[i], zr[i], valid=valid[i]), cam, cfg)
-            assert got is RECONSTRUCT_STATUS[i]
+        _, ok = _reconstruct_rows(px, zr, valid, _columns([cam] * 7), cfg)
+        assert ok.tolist() == [True] + [False] * 6
+        raised = [_outcome(reconstruct_pose, Pose25D(px[i], zr[i], valid=valid[i]), cam, cfg)
+                  for i in range(1, 7)]
+        assert raised == [NoValidKeypointsError, NonFiniteError, NonFiniteError,
+                          DegenerateProjectionError, NoRealSolutionError, NonPositiveDepthError]
 
 
 class TestScalarSquares:
     WITNESS = 0.08721295894391941
 
     def test_pow_witness(self):
-        """quadratic_coefficients squares numpy scalars, which is libm's pow;
-        an array's ** 2 is the exact square, and the two differ here."""
+        """_square gives libm's pow, as a numpy scalar's ** 2 does, for
+        scalars and arrays alike; an array's ** 2 is the exact square, and
+        the two differ here."""
         x = self.WITNESS
         assert np.float64(x) ** 2 == 0.007606100207753772 == math.pow(x, 2)
         assert x * x == 0.007606100207753773 == (np.array([x]) ** 2)[0]
-        assert _libm_squares(np.array([x, -x]))[0] == np.float64(x) ** 2
-        assert _libm_squares(np.array([x, -x]))[1] == np.float64(-x) ** 2
+        assert _square(x) == _square(np.float64(-x)) == math.pow(x, 2)
+        assert _square(np.array([x, -x])).tolist() == [math.pow(x, 2)] * 2
 
     def test_kernel_keeps_the_scalar_bits(self):
         """With K = identity the pair's ray difference is the witness itself,
@@ -190,8 +198,8 @@ class TestScalarSquares:
         q = quadratic_coefficients((x, 0.0), (0.0, 0.0), 0.01, 0.0)
         assert q.a == np.float64(x) ** 2 != x * x
         cam = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-        xyz, status = _reconstruct_rows(px, zr, valid, _rows([cam]))
-        assert status.tolist() == [0]
+        xyz, ok = _reconstruct_rows(px, zr, valid, _columns([cam]))
+        assert ok.tolist() == [True]
         assert _same_bits(xyz[0], reconstruct_pose(Pose25D(px[0], zr[0]), cam).xyz)
 
 
@@ -200,4 +208,7 @@ class TestScalarSquares:
     ([None, CameraIntrinsics(2.0, 3.0, 4.0, 5.0, 6.0)], [[1, 1, 0, 0, 0], [2, 3, 4, 5, 6]]),
 ])
 def test_camera_rows(cams, expected):
-    np.testing.assert_array_equal(_rows(cams), np.array(expected, dtype=float).reshape(-1, 5))
+    """_columns gives each intrinsic as an (N, 1) column; None is the identity K."""
+    columns = _columns(cams)
+    assert [col.shape for col in columns] == [(len(cams), 1)] * 5
+    np.testing.assert_array_equal(np.hstack(columns), np.reshape(expected, (-1, 5)))
