@@ -160,7 +160,7 @@ class TestReconstructRows:
         valid = np.tile(p25.valid, (7, 1))
         valid[1, 5] = False  # NoValidKeypointsError
         px[2, 5] = 1e300  # NonFiniteError
-        zr[3, 5] = 1e200  # NonFiniteError, where Python's float power raised OverflowError
+        zr[3, 5] = 1e200  # NonFiniteError: the square of the pair's zr overflows
         px[4, 0], zr[4, 0] = px[4, 5], zr[4, 5]  # DegenerateProjectionError
         zr[5, 5] += 5.0  # NoRealSolutionError
         zr[6, 9] = -1e9  # NonPositiveDepthError
