@@ -162,7 +162,10 @@ _TABLE = {
         lambda prob: softargmax(prob),
         # a (..., 1, W) @ (W,) product per map gives the bits of the public
         # (W,) @ (W,) dot; folding the batch into one (B, W) matrix does not
-        lambda prob: np.concatenate(_expected_xy(prob[..., None, :, :]), axis=-1),
+        lambda prob: np.concatenate(
+            _expected_xy(prob.sum(axis=-2)[..., None, :], prob.sum(axis=-1)[..., None, :]),
+            axis=-1,
+        ),
         lambda g, prob: (vjp_softargmax(prob, g),),
     ),
     "depth_readout": (

@@ -15,6 +15,7 @@ at the map's own resolution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -133,6 +134,8 @@ def encode_direct(
             like[i] = depth[i] = 0.0
             continue
         x, y = p25.xy[i]
+        if math.isnan(x) or math.isnan(y):
+            raise NonFiniteError(f"keypoint {i} at ({x:g}, {y:g}) has a NaN coordinate")
         inside = 0.0 <= x <= grid.width - 1 and 0.0 <= y <= grid.height - 1
         if not inside:
             if out_of_grid == "error":
@@ -177,6 +180,10 @@ def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
     """Per-keypoint softmax over all pixels: exp(beta_k * map) normalized
     to sum 1. Computed with max subtraction, which changes nothing
     mathematically (softmax is shift invariant) but avoids overflow."""
+    return _softmax(_check_latent(latent, spread), spread.beta)
+
+
+def _check_latent(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
     maps = np.asarray(latent, dtype=np.float64)
     if maps.ndim != 3:
         raise ShapeMismatchError("latent maps must be (K, H, W)")
@@ -184,27 +191,32 @@ def spatial_softmax(latent: np.ndarray, spread: SpreadParams) -> np.ndarray:
         raise ShapeMismatchError(f"latent maps {maps.shape} have a zero-length spatial axis")
     if maps.shape[0] != spread.beta.shape[0]:
         raise ShapeMismatchError("one beta per keypoint required")
-    return _softmax(maps, spread.beta)
+    return maps
 
 
-def _softmax(maps: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Spatial softmax of (..., K, H, W) maps with (..., K) spreads; the
-    leading dims broadcast. Each map is reduced on its own, so a batched
-    call gives the same bits as one call per map stack. Every step after
-    the first runs in the one output array."""
-    s = beta[..., None, None] * maps
+def _softmax(maps: np.ndarray, beta, out: np.ndarray | None = None) -> np.ndarray:
+    """Spatial softmax of (..., K, H, W) maps with (..., K) spreads, or of
+    one (H, W) map with a numpy scalar spread; the leading dims broadcast.
+    Each map is reduced on its own, so a batched call gives the same bits as
+    one call per map. Every step runs in `out`, allocated when None."""
+    s = np.multiply(beta[..., None, None], maps, out=out)
     s -= s.max(axis=(-2, -1), keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=(-2, -1), keepdims=True)
     return s
 
 
-def _check_prob(prob: np.ndarray) -> np.ndarray:
+def _check_map(prob: np.ndarray) -> np.ndarray:
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2:
         raise ShapeMismatchError("probability map must be (H, W)")
     if prob.size == 0:
         raise ShapeMismatchError(f"probability map {prob.shape} has a zero-length axis")
+    return prob
+
+
+def _check_prob(prob: np.ndarray) -> np.ndarray:
+    prob = _check_map(prob)
     if prob.min() < 0:
         raise NotNormalizedError("probability map has negative entries")
     total = prob.sum()
@@ -213,17 +225,18 @@ def _check_prob(prob: np.ndarray) -> np.ndarray:
     return prob
 
 
-def _expected_xy(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expected pixel (x, y) under each (..., H, W) probability map."""
-    xs, ys = _pixel_axes(*prob.shape[-2:])
-    return prob.sum(axis=-2) @ xs, prob.sum(axis=-1) @ ys[:, 0]
+def _expected_xy(cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expected pixel (x, y) from the column sums (..., W) and row sums
+    (..., H) of probability maps."""
+    xs, ys = _pixel_axes(rows.shape[-1], cols.shape[-1])
+    return cols @ xs, rows @ ys[:, 0]
 
 
 def softargmax(prob: np.ndarray) -> tuple[float, float]:
     """Probability-weighted mean pixel coordinate (x, y); lies inside the
     convex hull of the lattice, so sub-pixel positions come for free."""
     prob = _check_prob(prob)
-    x, y = _expected_xy(prob)
+    x, y = _expected_xy(prob.sum(axis=0), prob.sum(axis=1))
     return float(x), float(y)
 
 
@@ -238,24 +251,33 @@ def depth_readout(prob: np.ndarray, latent_depth: np.ndarray) -> float:
 
 
 def decode_latent(stack: HeatmapStack, spread: SpreadParams) -> Pose25D:
-    """softmax -> (softargmax, depth readout) per keypoint."""
+    """softmax -> (softargmax, depth readout) per keypoint.
+
+    One keypoint's map at a time goes through a single map-sized scratch
+    array, which stays in cache for all K maps; the x and y reductions run
+    once over the collected (K, W) column and (K, H) row sums, as in
+    _decode (a per-map dot would give other bits)."""
     if stack.kind != "latent":
         raise ConfigError("decode_latent expects a latent-kind stack")
-    prob = spatial_softmax(stack.likelihood, spread)
-    x, y, zr = _decode(prob, stack.depth, out=prob)
+    like = _check_latent(stack.likelihood, spread)
+    k, h, w = like.shape
+    prob = np.empty((h, w))
+    cols, rows, zr = np.empty((k, w)), np.empty((k, h)), np.empty(k)
+    for i in range(k):
+        _softmax(like[i], spread.beta[i], out=prob)
+        prob.sum(axis=0, out=cols[i])
+        prob.sum(axis=1, out=rows[i])
+        zr[i] = np.multiply(prob, stack.depth[i], out=prob).sum()
+    x, y = _expected_xy(cols, rows)
     return Pose25D(xy=np.stack([x, y], axis=1), zr=zr)
 
 
-def _decode(
-    prob: np.ndarray, depth: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode(prob: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected x, y and depth under (..., K, H, W) probability maps: x
     and y take prob's leading dims, the depth those of prob and depth
-    broadcast together. The product prob * depth goes into `out`, which
-    decode_latent sets to its own prob; gradcheck's batched forward leaves
-    it None, since there depth may carry leading dims that prob lacks."""
-    x, y = _expected_xy(prob)
-    return x, y, np.multiply(prob, depth, out=out).sum(axis=(-2, -1))
+    broadcast together."""
+    x, y = _expected_xy(prob.sum(axis=-2), prob.sum(axis=-1))
+    return x, y, (prob * depth).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +290,30 @@ def _decode(
 def _vjp_softmax(
     prob: np.ndarray,
     latent: np.ndarray,
-    spread: SpreadParams,
+    beta,
     weight: np.ndarray,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangents of (latent maps, beta) given prob = spatial_softmax(latent,
-    spread) and the cotangent `weight` of prob: ds = prob * (weight - E_prob[weight]).
+    out: np.ndarray,
+    tmp: np.ndarray,
+) -> np.floating | np.ndarray:
+    """Cotangent of beta given prob = _softmax(latent, beta) and the
+    cotangent `weight` of prob; the latent cotangent
+    ds = beta * prob * (weight - E_prob[weight]) is written to `out`.
+    Reduces over the last two axes, and beta broadcasts against them.
 
-    The latent cotangent is built in `out` and the products go through the
-    full-size scratch `tmp`; either is allocated when None. A caller that
-    owns `weight` may pass it as `out`; no other argument is written to."""
-    tmp = np.multiply(prob, weight, out=tmp)
-    ds = np.subtract(weight, tmp.sum(axis=(1, 2), keepdims=True), out=out)
+    The products go through the scratch `tmp`. A caller that owns
+    `weight` may pass it as `out`; no other argument is written to."""
+    np.multiply(prob, weight, out=tmp)
+    ds = np.subtract(weight, tmp.sum(axis=(-2, -1), keepdims=True), out=out)
     ds *= prob
-    cot_beta = np.multiply(ds, latent, out=tmp).sum(axis=(1, 2))
-    ds *= spread.beta[:, None, None]
-    return ds, cot_beta
+    cot_beta = np.multiply(ds, latent, out=tmp).sum(axis=(-2, -1))
+    ds *= beta
+    return cot_beta
 
 
 def vjp_softargmax(prob: np.ndarray, upstream_xy: tuple[float, float]) -> np.ndarray:
     """Cotangent of the probability map. softargmax is linear in the map,
     so this is just gx * x(p) + gy * y(p)."""
-    xs, ys = _pixel_axes(*np.shape(prob))
+    xs, ys = _pixel_axes(*_check_map(prob).shape)
     gx, gy = upstream_xy
     return gx * xs + gy * ys
 
@@ -310,12 +333,21 @@ def vjp_spatial_softmax(
     latent: np.ndarray, spread: SpreadParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents of (latent maps, beta) given cotangents of the
-    probability maps."""
+    probability maps, one keypoint's map at a time through two map-sized
+    scratch arrays."""
     latent = np.asarray(latent, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != latent.shape:
         raise ShapeMismatchError("upstream cotangent must match the latent maps")
-    return _vjp_softmax(spatial_softmax(latent, spread), latent, spread, upstream)
+    latent = _check_latent(latent, spread)
+    k, h, w = latent.shape
+    prob, tmp = np.empty((h, w)), np.empty((h, w))
+    cot_latent, cot_beta = np.empty((k, h, w)), np.empty(k)
+    for i in range(k):
+        beta = spread.beta[i]
+        _softmax(latent[i], beta, out=prob)
+        cot_beta[i] = _vjp_softmax(prob, latent[i], beta, upstream[i], cot_latent[i], tmp)
+    return cot_latent, cot_beta
 
 
 def vjp_decode_latent(
@@ -325,6 +357,8 @@ def vjp_decode_latent(
 
     upstream holds per-keypoint cotangents of (x, y, zr) as a (K, 3)
     array; returns cotangents of (latent likelihood, latent depth, beta).
+    Only these outputs are stack-sized: each keypoint's map goes through
+    two map-sized scratch arrays.
     """
     if stack.kind != "latent":
         raise ConfigError("vjp_decode_latent expects a latent-kind stack")
@@ -332,17 +366,19 @@ def vjp_decode_latent(
     k, h, w = stack.likelihood.shape
     if upstream.shape != (k, 3):
         raise ShapeMismatchError(f"upstream must be ({k}, 3), got {upstream.shape}")
-    prob = spatial_softmax(stack.likelihood, spread)
+    like = _check_latent(stack.likelihood, spread)
     xs, ys = _pixel_axes(h, w)
-    gx, gy, gz = upstream.T[:, :, None, None]
-    # w(p) = gx x + gy y + gz depth(p): how much moving probability mass
-    # onto pixel p changes the output; it becomes the latent cotangent.
-    # The gz * depth temporary is reused as the VJP's scratch: freeing it
-    # and allocating another cost ~2 ms more per 21x128x128 stack.
-    tmp = np.multiply(gz, stack.depth)
-    weight = np.add(gx * xs, gy * ys)
-    weight += tmp
-    cot_likelihood, cot_beta = _vjp_softmax(
-        prob, stack.likelihood, spread, weight, out=weight, tmp=tmp
-    )
-    return cot_likelihood, np.multiply(prob, gz, out=prob), cot_beta
+    prob, tmp = np.empty((h, w)), np.empty((h, w))
+    cot_like, cot_depth, cot_beta = np.empty((k, h, w)), np.empty((k, h, w)), np.empty(k)
+    for i in range(k):
+        beta = spread.beta[i]
+        gx, gy, gz = upstream[i]
+        _softmax(like[i], beta, out=prob)
+        # w(p) = gx x + gy y + gz depth(p): how much moving probability mass
+        # onto pixel p changes the output; it becomes the latent cotangent
+        np.multiply(gz, stack.depth[i], out=tmp)
+        weight = np.add(gx * xs, gy * ys, out=cot_like[i])
+        weight += tmp
+        cot_beta[i] = _vjp_softmax(prob, like[i], beta, weight, weight, tmp)
+        np.multiply(prob, gz, out=cot_depth[i])
+    return cot_like, cot_depth, cot_beta

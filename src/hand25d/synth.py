@@ -21,10 +21,10 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .errors import ConfigError
-from .pose25d import NormalizationConfig, normalization_scale, to_25d
-from .reconstruct import quadratic_coefficients, solve_zroot
+from .pose25d import NormalizationConfig, _relative_depths, normalization_scale, to_25d
+from .reconstruct import _root, quadratic_coefficients, solve_zroot
 from .serialize import PoseRecord
-from .skeleton import FINGERS, BoneStats, canonical_skeleton
+from .skeleton import FINGERS, ROOT_INDEX, BoneStats, canonical_skeleton
 from .types import Pose3D, Pose25D
 
 # palm->mcp, mcp->pip, pip->dip, dip->tip per finger, mm
@@ -112,17 +112,16 @@ def _well_posed_pair(pose: Pose3D) -> bool:
     regime."""
     norm_cfg = _NORMALIZATION
     n, m = norm_cfg.pair
-    s = normalization_scale(pose, norm_cfg)
-    z_hat = (norm_cfg.c / s) * pose.xyz[:, 2]
-    z_true_root = z_hat[0]
-    zr = z_hat - z_true_root
+    scale = norm_cfg.c / normalization_scale(pose, norm_cfg)
+    zr = _relative_depths(pose.xyz[:, 2], scale)
+    z_true_root = scale * pose.xyz[ROOT_INDEX, 2]
     rays = pose.xyz[:, :2] / pose.xyz[:, 2:3]
     q = quadratic_coefficients(
         (rays[n, 0], rays[n, 1]), (rays[m, 0], rays[m, 1]), zr[n], zr[m], norm_cfg.c
     )
     if q.a <= 1e-10:
         return False
-    disc = q.b * q.b - q.a * q.c
+    disc = _root(q.a, q.b, q.c)[1]
     if disc <= 0:
         return False
     z_big = solve_zroot(q)

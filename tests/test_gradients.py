@@ -230,6 +230,11 @@ class TestComponentVjps:
         xx, yy = np.meshgrid(np.arange(4.0), np.arange(3.0))
         np.testing.assert_allclose(cot, 2.0 * xx - 1.0 * yy, rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_softargmax_cotangent_of_non_map_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError, match=r"^probability map must be \(H, W\)$"):
+            vjp_softargmax(np.full(shape, 0.1), (1.0, 1.0))
+
     def test_depth_readout_cotangents(self):
         rng = np.random.default_rng(2)
         prob = rng.uniform(0, 1, (4, 4))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hand25d.errors import (
     ConfigError,
+    NonFiniteError,
     NotNormalizedError,
     OutOfGridError,
     ShapeMismatchError,
@@ -74,6 +75,13 @@ class TestEncodeDirect:
             encode_direct(pose, GRID)
         stack = encode_direct(pose, GRID, out_of_grid="clamp")
         assert stack.likelihood[0, 3, 31] == 1.0
+
+    @pytest.mark.parametrize("out_of_grid", ["error", "clamp"])
+    @pytest.mark.parametrize("xy", [(np.nan, 3.0), (7.0, np.nan)])
+    def test_nan_keypoint_rejected(self, out_of_grid, xy):
+        pose = pose_at([[5.0, 5.0], xy], [0.0, 0.0])
+        with pytest.raises(NonFiniteError, match="^keypoint 1 at .* has a NaN coordinate$"):
+            encode_direct(pose, GRID, out_of_grid=out_of_grid)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf])
     def test_non_finite_sigma_rejected(self, sigma):

@@ -176,6 +176,42 @@ class TestBitIdentity:
             assert same_bits(got, sent.astype(np.float32).astype(np.float64))
 
 
+class TestBenchmarkSize:
+    def test_decode_and_vjps_match_oracles_at_21x128x128(self):
+        # K = 21 lies beyond the property test's range; every map goes
+        # through the same map-sized scratch in turn
+        like, depth, beta, upstream = latent_problem(11, 21, 128, 128, 30.0)
+        spread = SpreadParams(beta=beta)
+        stack = HeatmapStack(kind="latent", likelihood=like, depth=depth)
+        cot_prob = np.random.default_rng(12).normal(size=like.shape)
+
+        pose = decode_latent(stack, spread)
+        xy, zr = oracle_decode_latent(like, depth, beta)
+        assert same_bits(pose.xy, xy) and same_bits(pose.zr, zr)
+        got = vjp_decode_latent(stack, spread, upstream)
+        want = oracle_vjp_decode_latent(like, depth, beta, upstream)
+        assert all(same_bits(g, o) for g, o in zip(got, want))
+        got = vjp_spatial_softmax(like, spread, cot_prob)
+        want = oracle_vjp_softmax(oracle_softmax(like, beta), like, beta, cot_prob)
+        assert all(same_bits(g, o) for g, o in zip(got, want))
+
+
+class TestBetaCount:
+    @pytest.mark.parametrize("name", ["decode_latent", "vjp_decode_latent",
+                                      "vjp_spatial_softmax"])
+    def test_beta_count_mismatch_rejected(self, name):
+        like = np.zeros((3, 4, 5))
+        stack = HeatmapStack(kind="latent", likelihood=like, depth=like)
+        spread = SpreadParams.ones(2)
+        calls = {
+            "decode_latent": lambda: decode_latent(stack, spread),
+            "vjp_decode_latent": lambda: vjp_decode_latent(stack, spread, np.zeros((3, 3))),
+            "vjp_spatial_softmax": lambda: vjp_spatial_softmax(like, spread, like),
+        }
+        with pytest.raises(ShapeMismatchError, match="^one beta per keypoint required$"):
+            calls[name]()
+
+
 class TestZeroSize:
     SHAPES = [(0, 4, 4), (2, 0, 4), (2, 4, 0)]
 
@@ -229,11 +265,12 @@ class TestAllocationBudget:
         path = tmp_path_factory.mktemp("budget") / "s.h25d"
         serialize.write_h25d(path, target)
         return dict(pose=pose, grid=grid, target=target, latent=latent, path=path,
-                    spread=SpreadParams.ones(21), upstream=rng.normal(size=(21, 3)))
+                    spread=SpreadParams.ones(21), upstream=rng.normal(size=(21, 3)),
+                    cot_prob=rng.normal(size=target.likelihood.shape))
 
     @pytest.mark.parametrize("name, budget", [
         ("encode_direct", 2.2), ("write_h25d", 0.1), ("read_h25d", 2.1),
-        ("decode_latent", 1.1), ("vjp_decode_latent", 3.1),
+        ("decode_latent", 0.1), ("vjp_decode_latent", 2.2), ("vjp_spatial_softmax", 1.2),
     ])
     def test_peak_within_budget(self, problem, name, budget):
         p = problem
@@ -244,6 +281,8 @@ class TestAllocationBudget:
             "decode_latent": lambda: decode_latent(p["latent"], p["spread"]),
             "vjp_decode_latent": lambda: vjp_decode_latent(p["latent"], p["spread"],
                                                            p["upstream"]),
+            "vjp_spatial_softmax": lambda: vjp_spatial_softmax(p["latent"].likelihood,
+                                                               p["spread"], p["cot_prob"]),
         }
         assert peak_stacks(calls[name]) <= budget
 
