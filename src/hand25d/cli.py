@@ -38,7 +38,7 @@ from .metrics import PROTOCOLS, evaluate
 from .pose25d import NormalizationConfig, _to_25d_rows, to_25d
 from .reconstruct import _reconstruct_rows, absolute_pose, reconstruct_pose, recover_scale
 from .skeleton import canonical_skeleton, shorten_fingertips
-from .synth import SynthConfig, gen_pose
+from .synth import SynthConfig, _gen_rows, _record, gen_pose
 from .types import Pose3D, Pose25D
 
 NUMERICAL_ERRORS = (
@@ -103,11 +103,21 @@ def _records(path, override: CameraIntrinsics | None = None) -> list[serialize.P
     return [rec if rec.camera is None else serialize.flip_record_to_right(rec) for rec in records]
 
 
+def _synth_records(cfg: SynthConfig, count: int) -> list[serialize.PoseRecord]:
+    """[gen_pose(cfg, i)[2] for i in range(count)], from one batch of first
+    draws: a row whose first draw gen_pose rejects takes the per-pose path,
+    which gives its redraws or raises its error."""
+    xyz, px, zr, ok = _gen_rows(cfg, count)
+    return [_record(cfg, i, xyz[i], px[i], zr[i]) if ok[i] else gen_pose(cfg, i)[2]
+            for i in range(count)]
+
+
 def _cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be 0 or more, got {args.count}")
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     cfg = SynthConfig(seed=args.seed, bone_stats=stats)
-    records = [gen_pose(cfg, index)[2] for index in range(args.count)]
-    serialize.write_pose_records(args.out, records)
+    serialize.write_pose_records(args.out, _synth_records(cfg, args.count))
     if args.camera_out:
         serialize.write_camera_json(args.camera_out, cfg.camera)
     return 0

@@ -134,8 +134,10 @@ def encode_direct(
             like[i] = depth[i] = 0.0
             continue
         x, y = p25.xy[i]
-        if math.isnan(x) or math.isnan(y):
-            raise NonFiniteError(f"keypoint {i} at ({x:g}, {y:g}) has a NaN coordinate")
+        # checked before the grid test: "clamp" would move an inf onto the edge
+        if not (math.isfinite(x) and math.isfinite(y)):
+            kind = "a NaN" if math.isnan(x) or math.isnan(y) else "an infinite"
+            raise NonFiniteError(f"keypoint {i} at ({x:g}, {y:g}) has {kind} coordinate")
         inside = 0.0 <= x <= grid.width - 1 and 0.0 <= y <= grid.height - 1
         if not inside:
             if out_of_grid == "error":
@@ -322,7 +324,7 @@ def vjp_depth_readout(
     prob: np.ndarray, latent_depth: np.ndarray, upstream_z: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cotangents of (probability map, latent depth map)."""
-    prob = np.asarray(prob, dtype=np.float64)
+    prob = _check_map(prob)
     latent_depth = np.asarray(latent_depth, dtype=np.float64)
     if latent_depth.shape != prob.shape:
         raise ShapeMismatchError("depth map shape must match the probability map")

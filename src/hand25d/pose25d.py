@@ -92,15 +92,15 @@ def to_25d(
 def _to_25d_rows(
     xyz: np.ndarray,
     valid: np.ndarray,
-    cams: _Columns,
+    cams: _Columns | CameraIntrinsics,
     cfg: NormalizationConfig = NormalizationConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """to_25d of N poses at once: xyz (N, K, 3), valid (N, K) and N cameras
-    give px (N, K, 2), zr (N, K) and ok (N,). ok[i] holds exactly when to_25d
-    raises nothing for row i, and then the row is to_25d's xy and zr bit for
-    bit; otherwise its values are meaningless. The arithmetic runs under
-    np.errstate(all="ignore"), so an overflowing row does not warn as to_25d
-    does."""
+    (or one CameraIntrinsics for all) give px (N, K, 2), zr (N, K) and ok
+    (N,). ok[i] holds exactly when to_25d raises nothing for row i, and then
+    the row is to_25d's xy and zr bit for bit; otherwise its values are
+    meaningless. The arithmetic runs under np.errstate(all="ignore"), so an
+    overflowing row does not warn as to_25d does."""
     n, m = cfg.pair
     x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
     inside = valid & (z > 0)

@@ -12,7 +12,7 @@ from hand25d.errors import DataFormatError, Hand25DError
 from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import align_root, epe, evaluate
 from hand25d.skeleton import bone_lengths, canonical_skeleton
-from hand25d.synth import SynthConfig, synth_bone_stats
+from hand25d.synth import SynthConfig, gen_pose, synth_bone_stats
 
 
 @pytest.fixture
@@ -751,6 +751,17 @@ class TestExitCodes:
         assert split.read_bytes() == joined.read_bytes()
         assert serialize.read_report_json(split).pck[0][0] == -5.0
 
+    def test_negative_count_is_3(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--count", "-3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: --count must be 0 or more, got -3\n"
+        assert not out.exists()
+
+    def test_zero_count_writes_an_empty_file(self, tmp_path):
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--count", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+
     @pytest.mark.parametrize("count", [3, 21])
     def test_bone_stats_of_wrong_count_is_3(self, workdir, count, capsys):
         stats = workdir / "short_stats.json"
@@ -1007,6 +1018,13 @@ class TestDeterminism:
         for path in (a, b):
             assert main(["synth", "--seed", "9", "--count", "10", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_synth_file_is_that_of_gen_pose_records(self, workdir):
+        # the stage builds its records in one batch; gen_pose is the reference
+        cfg = SynthConfig(seed=5, bone_stats=synth_bone_stats(SynthConfig()))
+        serialize.write_pose_records(workdir / "ref.jsonl",
+                                     [gen_pose(cfg, i)[2] for i in range(20)])
+        assert (workdir / "gt.jsonl").read_bytes() == (workdir / "ref.jsonl").read_bytes()
 
     def test_eval_report_key_order_fixed(self, workdir):
         out1, out2 = workdir / "r1.json", workdir / "r2.json"

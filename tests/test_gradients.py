@@ -13,6 +13,7 @@ from hand25d.gradcheck import gradcheck
 from hand25d.heatmap import (
     HeatmapStack,
     SpreadParams,
+    depth_readout,
     spatial_softmax,
     vjp_decode_latent,
     vjp_depth_readout,
@@ -243,6 +244,16 @@ class TestComponentVjps:
         cot_p, cot_d = vjp_depth_readout(prob, depth, 3.0)
         np.testing.assert_allclose(cot_p, 3.0 * depth, rtol=1e-15)
         np.testing.assert_allclose(cot_d, 3.0 * prob, rtol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 4)])
+    def test_depth_readout_cotangent_of_non_map_rejected(self, shape):
+        # the same check, and message, as the forward depth_readout
+        prob, depth = np.full(shape, 0.1), np.full(shape, 0.1)
+        with pytest.raises(ShapeMismatchError, match="^probability map") as forward:
+            depth_readout(prob, depth)
+        with pytest.raises(ShapeMismatchError) as backward:
+            vjp_depth_readout(prob, depth, 1.0)
+        assert str(backward.value) == str(forward.value)
 
     def test_spatial_softmax_rows_sum_to_zero(self):
         # each softmax map sums to 1 whatever the latents, so any upstream

@@ -83,6 +83,16 @@ class TestEncodeDirect:
         with pytest.raises(NonFiniteError, match="^keypoint 1 at .* has a NaN coordinate$"):
             encode_direct(pose, GRID, out_of_grid=out_of_grid)
 
+    @pytest.mark.parametrize("out_of_grid", ["error", "clamp"])
+    @pytest.mark.parametrize("xy", [(np.inf, 3.0), (7.0, -np.inf)])
+    def test_infinite_keypoint_rejected(self, out_of_grid, xy):
+        # "clamp" used to move (inf, 3) onto the edge pixel (31, 3), and
+        # "error" called it outside the grid
+        pose = pose_at([[5.0, 5.0], xy], [0.0, 0.0])
+        with pytest.raises(NonFiniteError,
+                           match="^keypoint 1 at .* has an infinite coordinate$"):
+            encode_direct(pose, GRID, out_of_grid=out_of_grid)
+
     @pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError, match="finite and positive"):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hand25d import synth
+from hand25d.camera import CameraIntrinsics
+from hand25d.cli import _synth_records
 from hand25d.errors import ConfigError
 from hand25d.pose25d import NormalizationConfig, normalize_pose, to_25d
 from hand25d.serialize import record_to_dict
@@ -61,6 +63,70 @@ class TestArticulatedHand:
         fast = [record_to_dict(gen_pose(cfg, i)[2]) for i in range(40)]
         monkeypatch.setattr(synth, "_articulated_hand", reference_articulated_hand)
         assert [record_to_dict(gen_pose(cfg, i)[2]) for i in range(40)] == fast
+
+
+def reference_rotation(q):
+    """The per-pose rotation that synth._rotation_from_quaternion replaces."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def record_bits(rec):
+    return (rec.valid.tobytes(), rec.px.tobytes(), rec.xyz_mm.tobytes(),
+            rec.zr_norm.tobytes(), rec.side, rec.camera, rec.meta)
+
+
+# fx = fy = 300 narrows the view: about a third of the first draws are
+# rejected, or skip a translation draw, and so take the per-pose path
+NARROW_CAMERA = CameraIntrinsics(fx=300.0, fy=300.0, cx=63.5, cy=63.5)
+
+
+class TestBatchedStage:
+    """The synth stage's records come from one batch of first draws
+    (synth._gen_rows), with gen_pose for the rows it rejects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 60),
+        with_stats=st.booleans(),
+        narrow=st.booleans(),
+    )
+    def test_records_equal_gen_pose_bit_for_bit(self, seed, count, with_stats, narrow):
+        stats = synth_bone_stats(SynthConfig()) if with_stats else None
+        camera = NARROW_CAMERA if narrow else DEFAULT_CAMERA
+        cfg = SynthConfig(seed=seed, camera=camera, bone_stats=stats)
+        fast = [record_bits(rec) for rec in _synth_records(cfg, count)]
+        assert fast == [record_bits(gen_pose(cfg, i)[2]) for i in range(count)]
+
+    @pytest.mark.parametrize("with_stats", [False, True])
+    def test_narrow_camera_takes_both_paths(self, with_stats):
+        stats = synth_bone_stats(SynthConfig()) if with_stats else None
+        ok = synth._gen_rows(SynthConfig(seed=1, camera=NARROW_CAMERA, bone_stats=stats), 60)[3]
+        assert 0 < ok.sum() < 60
+
+    def test_hand_too_large_raises_gen_pose_error(self):
+        stats = BoneStats(mean_length=20 * synth_bone_stats(SynthConfig()).mean_length)
+        cfg = SynthConfig(bone_stats=stats)
+        with pytest.raises(ConfigError, match="cannot contain a hand") as slow:
+            gen_pose(cfg, 0)
+        with pytest.raises(ConfigError) as fast:
+            _synth_records(cfg, 3)
+        assert str(fast.value) == str(slow.value)
+
+    def test_rotation_rows_equal_per_row_calls(self):
+        quats = np.random.default_rng(4).normal(size=(2000, 4))
+        batch = synth._rotation_from_quaternion(quats)
+        rows = np.array([synth._rotation_from_quaternion(q) for q in quats])
+        assert batch.shape == (2000, 3, 3)
+        assert batch.tobytes() == rows.tobytes()
+        assert rows.tobytes() == np.array([reference_rotation(q) for q in quats]).tobytes()
 
 
 class TestDeterminism:
