@@ -226,6 +226,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if not (np.isfinite(args.amplitude) and args.amplitude > 0):
+        raise ConfigError(f"--amplitude must be finite and positive, got {args.amplitude}")
     records = _records(args.infile)
     if not records:
         raise DataFormatError("no records to encode")

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -79,6 +79,12 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _side(side) -> str:
+    if side not in ("left", "right"):
+        raise DataFormatError(f"side must be 'left' or 'right', got {side!r}")
+    return side
+
+
 @dataclass
 class PoseRecord:
     """One sample: whichever of pixel / metric / normalized-depth views
@@ -104,8 +110,7 @@ class PoseRecord:
                 if arr.shape != shape:
                     raise ShapeMismatchError(f"{key} shape {arr.shape} != {shape}")
                 setattr(self, key, arr)
-        if self.side not in ("left", "right"):
-            raise DataFormatError(f"side must be 'left' or 'right', got {self.side!r}")
+        _side(self.side)
 
     @property
     def num_keypoints(self) -> int:
@@ -174,23 +179,10 @@ def _floats(flat: list) -> np.ndarray | None:
     return arr if arr is not None and np.isfinite(arr).all() else None
 
 
-def _read_view(kps: list, valid: list, key: str, width: int, form: str) -> np.ndarray | None:
-    """One view of all keypoints as a (K, width) array, (K,) for width 0, or
-    None if no keypoint has it; an invalid keypoint without it reads as 0.0."""
-    flat = _view_values(kps, valid, key, width, form)
-    if flat is None:
-        return None
-    arr = _floats(flat)
-    if arr is None:
-        for j, value in enumerate(flat):  # name the first bad value
-            _finite(value, f"keypoint {j // max(width, 1)} {key}")
-    return arr.reshape((len(kps), width) if width else len(kps))
-
-
-def _record_fields(obj, read_view) -> tuple:
-    """record_from_dict's checks, in its order, with each view read by
-    read_view(kps, valid, key, width, form): the valid flags (a list), the
-    three views, side, camera and meta."""
+def _record_fields(obj) -> tuple:
+    """record_from_dict's checks of everything but the numbers, in its
+    order: the valid flags (a list), the three views as flat lists of JSON
+    values (None if absent), side, camera and meta."""
     if not isinstance(obj, dict):
         raise DataFormatError("pose record must be a JSON object")
     version = obj.get("schema_version")
@@ -214,24 +206,19 @@ def _record_fields(obj, read_view) -> tuple:
     for i, flag in enumerate(valid):
         if type(flag) is not bool:
             raise DataFormatError(f"keypoint {i}: valid must be true or false, got {flag!r}")
-    views = [read_view(kps, valid, key, width, form) for key, width, form in _VIEWS]
+    views = [_view_values(kps, valid, key, width, form) for key, width, form in _VIEWS]
     for i, (entry, name) in enumerate(zip(kps, skel.names)):
         if entry.get("name", name) != name:
             raise DataFormatError(f"keypoint {i}: name {entry['name']!r}, expected {name!r}")
     camera = camera_from_dict(obj["camera"]) if "camera" in obj else None
-    return valid, *views, obj.get("side", "right"), camera, obj.get("meta")
+    return valid, *views, _side(obj.get("side", "right")), camera, obj.get("meta")
 
 
-def record_from_dict(obj: dict) -> PoseRecord:
-    valid, *rest = _record_fields(obj, _read_view)
-    return PoseRecord(np.array(valid, dtype=bool), *rest)
-
-
-def _chunk_records(fields: list[tuple]) -> list[PoseRecord]:
-    """PoseRecords of `_record_fields(obj, _view_values)` results, with one
-    conversion and one finiteness check per view for all of them; each record
-    gets rows of those arrays. Raises DataFormatError, without naming the
-    record, if a value is not a finite number."""
+def _records(fields: list[tuple], where: Callable[[int], str]) -> list[PoseRecord]:
+    """PoseRecords of `_record_fields` results, with one conversion and one
+    finiteness check per view for all of them; each record gets rows of those
+    arrays. A value that is not a finite number raises DataFormatError for
+    the first one in record order, prefixed by where(i) for record i."""
     if not fields:
         return []
     k = canonical_skeleton().num_keypoints
@@ -241,12 +228,19 @@ def _chunk_records(fields: list[tuple]) -> list[PoseRecord]:
         have = [i for i, flat in enumerate(columns[v]) if flat is not None]
         if have:
             arr = _floats(list(chain.from_iterable(columns[v][i] for i in have)))
-            if arr is None:
-                raise DataFormatError(f"a {key} value is not a finite number")
+            if arr is None:  # _finite raises for the first bad value
+                for i, row in enumerate(fields):
+                    for (name, size, _), flat in zip(_VIEWS, row[1:]):
+                        for j, value in enumerate(flat or ()):
+                            _finite(value, f"{where(i)}keypoint {j // max(size, 1)} {name}")
             shape = (len(have), k, width) if width else (len(have), k)
             for i, row in zip(have, arr.reshape(shape)):
                 columns[v][i] = row
     return [PoseRecord(*row) for row in zip(*columns)]
+
+
+def record_from_dict(obj: dict) -> PoseRecord:
+    return _records([_record_fields(obj)], lambda i: "")[0]
 
 
 def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
@@ -264,45 +258,30 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:
-    """Every record of a JSONL file. Each line's structure is checked as it
-    is read; the numbers of up to _CHUNK_RECORDS records are converted and
-    checked at once. On any error the open chunk's lines are read again one
-    at a time, so the error names the first bad line in file order, with
-    record_from_dict's message."""
+    """Every record of a JSONL file. Each line is parsed once, and all of it
+    but its numbers is checked as it is read; the numbers of up to
+    _CHUNK_RECORDS records are converted at once. An error names the first
+    bad line in file order: `path:lineno: ` and record_from_dict's message."""
     records: list[PoseRecord] = []
-    chunk: list[tuple[int, str, tuple]] = []  # (line number, line, fields)
+    fields: list[tuple] = []  # _record_fields of the open chunk's lines
+    linenos: list[int] = []  # and their line numbers
+    def where(i: int) -> str:
+        return f"{path}:{linenos[i]}: "
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                chunk.append((lineno, line, _record_fields(_loads(line), _view_values)))
-            except DataFormatError:
-                _raise_first_bad_line(path, chunk + [(lineno, line, ())])
-                raise
-            if len(chunk) == _CHUNK_RECORDS:
-                records += _read_chunk(path, chunk)
-                chunk = []
-    return records + _read_chunk(path, chunk)
-
-
-def _read_chunk(path, chunk: list[tuple[int, str, tuple]]) -> list[PoseRecord]:
-    try:
-        return _chunk_records([fields for _, _, fields in chunk])
-    except DataFormatError:  # a value that is not a finite number, or a bad side
-        _raise_first_bad_line(path, chunk)
-        raise
-
-
-def _raise_first_bad_line(path, chunk: list[tuple[int, str, tuple]]) -> None:
-    """Raise record_from_dict's error for the first line of chunk it rejects,
-    named by path and line number."""
-    for lineno, line, _ in chunk:
-        try:
-            record_from_dict(_loads(line))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+                fields.append(_record_fields(_loads(line)))
+            except DataFormatError as exc:
+                _records(fields, where)  # a bad number on an earlier line comes first
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
+            if len(fields) == _CHUNK_RECORDS:
+                records += _records(fields, where)
+                fields, linenos = [], []
+    return records + _records(fields, where)
 
 
 def flip_record_to_right(rec: PoseRecord) -> PoseRecord:

@@ -73,6 +73,8 @@ class SynthConfig:
     bone_stats: BoneStats | None = None
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"seed must be 0 or more, got {self.seed}")
         bones = canonical_skeleton().num_keypoints - 1
         if self.bone_stats is not None and self.bone_stats.mean_length.shape[0] != bones:
             raise ConfigError(f"bone_stats must give {bones} lengths")

@@ -757,6 +757,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --count must be 0 or more, got -3\n"
         assert not out.exists()
 
+    def test_negative_seed_is_3(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--seed", "-1", "--count", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: seed must be 0 or more, got -1\n"
+        assert not out.exists()
+
     def test_zero_count_writes_an_empty_file(self, tmp_path):
         out = tmp_path / "s.jsonl"
         assert main(["synth", "--count", "0", "--out", str(out)]) == 0
@@ -781,6 +787,17 @@ class TestExitCodes:
                 "--out", str(workdir / "m.h25d")]
         assert main(argv) == 3
         assert "error: sigma must be finite and positive" in capsys.readouterr().err
+        assert not (workdir / "m.h25d").exists()
+
+    @pytest.mark.parametrize("amplitude", ["-20", "0", "nan"])
+    def test_bad_amplitude_is_3(self, workdir, amplitude, capsys):
+        """-20 decoded 29 px off and 0 wrote flat maps; nan failed naming
+        the heatmaps, not the flag."""
+        argv = ["encode", "--in", str(workdir / "gt.jsonl"), "--kind", "latent",
+                "--amplitude", amplitude, "--out", str(workdir / "m.h25d")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: --amplitude must be finite and positive, got {float(amplitude)}\n")
         assert not (workdir / "m.h25d").exists()
 
     def test_foreign_keypoint_name_is_3(self, workdir, capsys):

@@ -97,35 +97,40 @@ def _set(path, value):
     return mutate
 
 
+# One fault each: (mutate, the start of record_from_dict's message)
+SINGLE_FAULTS = [
+    (_set(["keypoints", 3, "valid"], "false"), "keypoint 3: valid must be true or false"),
+    (_set(["keypoints", 3, "valid"], 1), "keypoint 3: valid must be true or false"),
+    (_set(["keypoints", 3, "px"], [True, 2.0]), "keypoint 3 px is not a number"),
+    (_set(["keypoints", 3, "px"], ["1.5", 2.0]), "keypoint 3 px is not a number"),
+    (_set(["keypoints", 3, "xyz_mm"], [1.0, None, 2.0]), "keypoint 3 xyz_mm is not a number"),
+    (_set(["keypoints", 3, "zr_norm"], False), "keypoint 3 zr_norm is not a number"),
+    (_set(["keypoints", 3, "zr_norm"], [0.5]), "keypoint 3 zr_norm is not a number"),
+    (_set(["keypoints", 3, "px"], None), "keypoint 3: px must be [x, y]"),
+    (_set(["keypoints", 3, "px"], [1.0]), "keypoint 3: px must be [x, y]"),
+    (_set(["keypoints", 3, "xyz_mm"], 10**400), "keypoint 3: xyz_mm must be [X, Y, Z]"),
+    (_set(["keypoints", 3, "xyz_mm"], [1.0, 10**400, 2.0]), "keypoint 3 xyz_mm must be finite"),
+    (_set(["keypoints", 3, "zr_norm"], float("inf")), "keypoint 3 zr_norm must be finite"),
+    (_set(["keypoints", 1, "id"], True), "integer id"),
+    (_set(["keypoints", 1, "id"], 1.0), "integer id"),
+    (_set(["schema_version"], True), "schema_version"),
+    (_set(["schema_version"], 1.0), "schema_version"),
+    (_set(["camera", "fx"], True), "fx is not a number"),
+    (_set(["camera", "fy"], "100"), "fy is not a number"),
+    (_set(["camera", "skew"], 10**400), "skew must be finite"),
+]
+SINGLE_FAULT_IDS = [
+    "valid-str", "valid-int", "px-bool", "px-str", "xyz-null", "zr-bool", "zr-list",
+    "px-null", "px-short", "xyz-scalar", "xyz-huge-int", "zr-inf", "id-bool", "id-float",
+    "version-bool", "version-float", "camera-fx-bool", "camera-fy-str", "camera-skew-huge",
+]
+
+
 class TestStrictJsonTypes:
     """JSON types are checked, never coerced: bool is not a number, a
     string is not a bool or a number."""
 
-    @pytest.mark.parametrize("mutate, message", [
-        (_set(["keypoints", 3, "valid"], "false"), "keypoint 3: valid must be true or false"),
-        (_set(["keypoints", 3, "valid"], 1), "keypoint 3: valid must be true or false"),
-        (_set(["keypoints", 3, "px"], [True, 2.0]), "keypoint 3 px is not a number"),
-        (_set(["keypoints", 3, "px"], ["1.5", 2.0]), "keypoint 3 px is not a number"),
-        (_set(["keypoints", 3, "xyz_mm"], [1.0, None, 2.0]), "keypoint 3 xyz_mm is not a number"),
-        (_set(["keypoints", 3, "zr_norm"], False), "keypoint 3 zr_norm is not a number"),
-        (_set(["keypoints", 3, "zr_norm"], [0.5]), "keypoint 3 zr_norm is not a number"),
-        (_set(["keypoints", 3, "px"], None), "keypoint 3: px must be [x, y]"),
-        (_set(["keypoints", 3, "px"], [1.0]), "keypoint 3: px must be [x, y]"),
-        (_set(["keypoints", 3, "xyz_mm"], 10**400), "keypoint 3: xyz_mm must be [X, Y, Z]"),
-        (_set(["keypoints", 3, "xyz_mm"], [1.0, 10**400, 2.0]), "keypoint 3 xyz_mm must be finite"),
-        (_set(["keypoints", 3, "zr_norm"], float("inf")), "keypoint 3 zr_norm must be finite"),
-        (_set(["keypoints", 1, "id"], True), "integer id"),
-        (_set(["keypoints", 1, "id"], 1.0), "integer id"),
-        (_set(["schema_version"], True), "schema_version"),
-        (_set(["schema_version"], 1.0), "schema_version"),
-        (_set(["camera", "fx"], True), "fx is not a number"),
-        (_set(["camera", "fy"], "100"), "fy is not a number"),
-        (_set(["camera", "skew"], 10**400), "skew must be finite"),
-    ], ids=[
-        "valid-str", "valid-int", "px-bool", "px-str", "xyz-null", "zr-bool", "zr-list",
-        "px-null", "px-short", "xyz-scalar", "xyz-huge-int", "zr-inf", "id-bool", "id-float",
-        "version-bool", "version-float", "camera-fx-bool", "camera-fy-str", "camera-skew-huge",
-    ])
+    @pytest.mark.parametrize("mutate, message", SINGLE_FAULTS, ids=SINGLE_FAULT_IDS)
     def test_rejected(self, mutate, message):
         obj = record_json()
         mutate(obj)
@@ -286,6 +291,53 @@ class TestChunkedReader:
         with pytest.raises(DataFormatError) as exc:
             serialize.read_pose_records(path)
         assert str(exc.value) == f"{path}:{first}: {message}"
+
+    @pytest.mark.parametrize("mutate, message", SINGLE_FAULTS, ids=SINGLE_FAULT_IDS)
+    def test_one_fault_reads_as_record_from_dict(self, tmp_path, mutate, message):
+        """One reader: a fault on line k of a 300-line file, before, at and
+        after the chunk boundary, gives `path:k: ` and record_from_dict's
+        message for the object that line holds."""
+        good = json.dumps(record_json())
+        obj = record_json()
+        mutate(obj)
+        bad = json.dumps(obj).replace("Infinity", "1e400")  # JSON's text for inf
+        with pytest.raises(DataFormatError, match=re.escape(message)) as reference:
+            serialize.record_from_dict(json.loads(bad))
+        path = tmp_path / "one.jsonl"
+        for k in (1, 256, 257, 300):
+            path.write_text("\n".join([good] * (k - 1) + [bad] + [good] * (300 - k)) + "\n")
+            with pytest.raises(DataFormatError) as exc:
+                serialize.read_pose_records(path)
+            assert str(exc.value) == f"{path}:{k}: {reference.value}"
+
+    def test_structure_is_checked_before_numbers(self, tmp_path):
+        """A record with a non-finite px and a foreign name reports the name,
+        from either entry point."""
+        obj = record_json()
+        obj["keypoints"][0]["px"] = [float("inf"), 0.0]
+        obj["keypoints"][3]["name"] = "not_a_joint"
+        message = "keypoint 3: name 'not_a_joint', expected 'thumb_dip'"
+        with pytest.raises(DataFormatError) as exc:
+            serialize.record_from_dict(obj)
+        assert str(exc.value) == message
+        path = tmp_path / "two.jsonl"
+        path.write_text(json.dumps(obj).replace("Infinity", "1e400") + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            serialize.read_pose_records(path)
+        assert str(exc.value) == f"{path}:1: {message}"
+
+    def test_first_bad_number_in_record_order(self, tmp_path):
+        """Line 2's bad zr_norm comes before line 3's bad px, although px is
+        the view converted first."""
+        lines = [record_json() for _ in range(4)]
+        lines[1]["keypoints"][4]["zr_norm"] = float("inf")
+        lines[2]["keypoints"][0]["px"] = [0.0, float("inf")]
+        path = tmp_path / "order.jsonl"
+        path.write_text("".join(json.dumps(obj).replace("Infinity", "1e400") + "\n"
+                                for obj in lines))
+        with pytest.raises(DataFormatError) as exc:
+            serialize.read_pose_records(path)
+        assert str(exc.value) == f"{path}:2: keypoint 4 zr_norm must be finite, got inf"
 
     def test_bom_on_the_first_line(self, tmp_path):
         """json.loads' BOM message, which a reused JSONDecoder lacks."""

@@ -216,5 +216,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="20 lengths"):
             SynthConfig(bone_stats=BoneStats(mean_length=np.full(count, 30.0)))
 
+    @pytest.mark.parametrize("seed", [-1, -2**70])
+    def test_negative_seed(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be 0 or more, got {seed}"):
+            SynthConfig(seed=seed)
+
     def test_default_camera(self):
         assert SynthConfig().camera == DEFAULT_CAMERA
