@@ -300,7 +300,8 @@ class TestChunkedReader:
         good = json.dumps(record_json())
         obj = record_json()
         mutate(obj)
-        bad = json.dumps(obj).replace("Infinity", "1e400")  # JSON's text for inf
+        # 1e400 is a JSON number that parses to inf; the reader rejects Infinity
+        bad = json.dumps(obj).replace("Infinity", "1e400")
         with pytest.raises(DataFormatError, match=re.escape(message)) as reference:
             serialize.record_from_dict(json.loads(bad))
         path = tmp_path / "one.jsonl"
