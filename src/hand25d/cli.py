@@ -123,69 +123,58 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _stacked(records: list[serialize.PoseRecord], key: str, shape: tuple, dtype=np.float64):
-    """One view of every record as an (N, *shape) array, zeros where a record lacks it."""
+def _stacked(records: list[serialize.PoseRecord], key: str, *shape: int, dtype=np.float64):
+    """One view of every record as an (N, K, *shape) array, zeros where a record lacks it."""
+    shape = (canonical_skeleton().num_keypoints, *shape)
     blank = np.zeros(shape, dtype)
     rows = [blank if (v := getattr(rec, key)) is None else v for rec in records]
     return np.array(rows, dtype).reshape(len(rows), *shape)
 
 
-def _each_record(records, work, soft, noun: str, verb: str) -> tuple[list, int]:
-    """work(i, rec) for each record in order, and the number that failed. A
-    `soft` exception counts the record as failed: its result is None, and a
-    line goes to stderr. Any other library error names the record and keeps
-    its class, so the exit code holds."""
-    results, failures = [], 0
-    for i, rec in enumerate(records):
+def _rewrite(path, records, rows, redo, emit, soft=(), noun="", verb="") -> int:
+    """Write each record, with the views emit(rec, row) gives, to `path` after
+    the last one; return how many failed. row is rows[i], the stage kernel's,
+    or where that is None redo(rec), the per-pose function, run after the
+    camera check as quietly as the kernel. A `soft` error fails the record:
+    stderr gets a line, and it is written all-invalid. Any other library error
+    names the record, keeps its class (so its exit code) and writes nothing."""
+    out, failures = [], 0
+    for i, (rec, row) in enumerate(zip(records, rows)):
+        valid = rec.valid
         try:
-            results.append(work(i, rec))
+            if row is None:
+                if rec.camera is None:
+                    raise DataFormatError("no camera available; pass --camera")
+                with np.errstate(all="ignore"):
+                    row = redo(rec)
+            views = emit(rec, row)
         except soft as exc:
             failures += 1
             print(f"record {i}: {noun} failed: {exc}", file=sys.stderr)
-            results.append(None)
+            valid, views = np.zeros(rec.num_keypoints, dtype=bool), {}
         except Hand25DError as exc:
             raise type(exc)(f"record {i}: {exc}") from exc
+        out.append(serialize.PoseRecord(valid, **views, side=rec.side, camera=rec.camera,
+                                        meta=rec.meta))
     if failures:
         print(f"{failures}/{len(records)} records failed to {verb}", file=sys.stderr)
-    return results, failures
-
-
-def _failed(rec: serialize.PoseRecord) -> serialize.PoseRecord:
-    """A failed record as written: every keypoint invalid, so no views."""
-    return serialize.PoseRecord(np.zeros(rec.num_keypoints, dtype=bool), side=rec.side,
-                                camera=rec.camera, meta=rec.meta)
-
-
-def _camera_of(rec: serialize.PoseRecord) -> CameraIntrinsics:
-    if rec.camera is None:
-        raise DataFormatError("no camera available; pass --camera")
-    return rec.camera
+    serialize.write_pose_records(path, out)
+    return failures
 
 
 def _cmd_normalize(args) -> int:
     cfg = _norm_config(args)
     override = serialize.read_camera_json(args.camera) if args.camera else None
     records = _records(args.infile, override)
-    k = canonical_skeleton().num_keypoints
     px, zr, ok = _to_25d_rows(
-        _stacked(records, "xyz_mm", (k, 3)), _stacked(records, "valid", (k,), bool),
+        _stacked(records, "xyz_mm", 3), _stacked(records, "valid", dtype=bool),
         _camera_columns([rec.camera for rec in records]), cfg)
-
-    def work(i, rec):
-        if not ok[i] or rec.camera is None or rec.xyz_mm is None:
-            cam = _camera_of(rec)  # the per-pose path, which raises the row's error
-            with np.errstate(all="ignore"):  # as quiet as the kernel
-                p25 = to_25d(rec.pose3d(), cam, cfg)
-            return p25.xy, p25.zr
-        return px[i], zr[i]
-
-    results, _ = _each_record(records, work, NoValidKeypointsError, "normalization",
-                              "normalize")
-    serialize.write_pose_records(args.out, [
-        _failed(rec) if res is None else serialize.PoseRecord(
-            rec.valid, px=res[0], zr_norm=res[1], side=rec.side, camera=rec.camera,
-            meta=rec.meta)
-        for rec, res in zip(records, results)])
+    rows = [(px[i], zr[i]) if ok[i] and rec.camera is not None and rec.xyz_mm is not None
+            else None for i, rec in enumerate(records)]
+    _rewrite(args.out, records, rows,
+             lambda rec: ((p25 := to_25d(rec.pose3d(), rec.camera, cfg)).xy, p25.zr),
+             lambda rec, row: {"px": row[0], "zr_norm": row[1]},
+             NoValidKeypointsError, "normalization", "normalize")
     return 0
 
 
@@ -195,33 +184,29 @@ def _cmd_reconstruct(args) -> int:
     stats = serialize.read_bone_stats_json(args.bone_stats) if args.bone_stats else None
     skel = canonical_skeleton()
     records = _records(args.infile, override)
-    k = skel.num_keypoints
     xyz, ok = _reconstruct_rows(
-        _stacked(records, "px", (k, 2)), _stacked(records, "zr_norm", (k,)),
-        _stacked(records, "valid", (k,), bool),
+        _stacked(records, "px", 2), _stacked(records, "zr_norm"),
+        _stacked(records, "valid", dtype=bool),
         _camera_columns([rec.camera for rec in records]), cfg)
+    rows = [xyz[i] if ok[i] and rec.camera is not None and rec.px is not None
+            and rec.zr_norm is not None else None for i, rec in enumerate(records)]
 
-    def work(i, rec):
-        if not ok[i] or rec.camera is None or rec.px is None or rec.zr_norm is None:
-            cam = _camera_of(rec)  # the per-pose path, which raises the row's error
-            if not rec.valid.any():  # e.g. a record normalize failed, which has no views
-                raise NoValidKeypointsError("record has no valid keypoint")
-            with np.errstate(all="ignore"):  # as quiet as the kernel
-                pose = reconstruct_pose(rec.pose25d(), cam, cfg)
-        else:
-            pose = Pose3D(xyz[i], rec.valid)
+    def redo(rec):
+        if not rec.valid.any():  # e.g. a record normalize failed, which has no views
+            raise NoValidKeypointsError("record has no valid keypoint")
+        return reconstruct_pose(rec.pose25d(), rec.camera, cfg).xyz
+
+    def emit(rec, row):
+        pose = Pose3D(row, rec.valid)
         if stats is not None:
             # recover_scale returns mm per normalized unit; absolute_pose
             # expects the metric pair-bone length, i.e. c times that
             pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
-        return pose
+        return {"xyz_mm": pose.xyz}
 
-    results, failures = _each_record(records, work, (*NUMERICAL_ERRORS, NoValidKeypointsError),
-                                     "reconstruction", "reconstruct")
-    serialize.write_pose_records(args.out, [
-        _failed(rec) if pose is None else serialize.PoseRecord(
-            pose.valid, xyz_mm=pose.xyz, side=rec.side, camera=rec.camera, meta=rec.meta)
-        for rec, pose in zip(records, results)])
+    failures = _rewrite(args.out, records, rows, redo, emit,
+                        (*NUMERICAL_ERRORS, NoValidKeypointsError), "reconstruction",
+                        "reconstruct")
     return 4 if failures and args.strict else 0
 
 
@@ -316,26 +301,26 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_shorten_tips(args) -> int:
     skel = canonical_skeleton()
     cfg = _norm_config(args)
-    out = []
-    for i, rec in enumerate(_records(args.infile)):
+    records = _records(args.infile)
+    if not 0.0 < args.factor <= 1.0:  # the flag's error, not record 0's
+        raise ConfigError(f"shortening factor must be in (0, 1], got {args.factor}")
+
+    def emit(rec, i):  # no kernel: a record's row is its index
         if rec.xyz_mm is None:
-            raise DataFormatError(f"record {i}: shorten-tips needs xyz_mm")
+            raise DataFormatError("shorten-tips needs xyz_mm")
         pose = shorten_fingertips(rec.pose3d(), args.factor, skel)
-        px = rec.px
-        zr = rec.zr_norm
+        px, zr = rec.px, rec.zr_norm
         if rec.camera is not None:
             if px is not None:
                 px = project(pose, rec.camera)[0].xy
             if zr is not None:
                 zr = to_25d(pose, rec.camera, cfg).zr
         elif px is not None or zr is not None:
-            print(
-                f"record {i}: no camera; px/zr_norm left unchanged and may now be inconsistent",
-                file=sys.stderr,
-            )
-        out.append(serialize.PoseRecord(rec.valid, px=px, xyz_mm=pose.xyz, zr_norm=zr,
-                                        side=rec.side, camera=rec.camera, meta=rec.meta))
-    serialize.write_pose_records(args.out, out)
+            print(f"record {i}: no camera; px/zr_norm left unchanged and may now be "
+                  "inconsistent", file=sys.stderr)
+        return {"px": px, "xyz_mm": pose.xyz, "zr_norm": zr}
+
+    _rewrite(args.out, records, range(len(records)), None, emit)
     return 0
 
 

@@ -58,6 +58,20 @@ def _dumps(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+def _lines(path: str | Path):
+    """The lines of a text file as they are read; DataFormatError if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_json(path: str | Path):
+    """The JSON value of a whole sidecar file."""
+    return _loads("".join(_lines(path)))
+
+
 _NUMBER = {int, float}  # the types json.loads gives a number; bool is not one
 _CHUNK_RECORDS = 256  # records whose numbers read_pose_records converts at once
 # Pose-record views: key (= PoseRecord field), values per keypoint (0: scalar), error text
@@ -267,20 +281,19 @@ def read_pose_records(path: str | Path) -> list[PoseRecord]:
     linenos: list[int] = []  # and their line numbers
     def where(i: int) -> str:
         return f"{path}:{linenos[i]}: "
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                fields.append(_record_fields(_loads(line)))
-            except DataFormatError as exc:
-                _records(fields, where)  # a bad number on an earlier line comes first
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
-            if len(fields) == _CHUNK_RECORDS:
-                records += _records(fields, where)
-                fields, linenos = [], []
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            fields.append(_record_fields(_loads(line)))
+        except DataFormatError as exc:
+            _records(fields, where)  # a bad number on an earlier line comes first
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        linenos.append(lineno)
+        if len(fields) == _CHUNK_RECORDS:
+            records += _records(fields, where)
+            fields, linenos = [], []
     return records + _records(fields, where)
 
 
@@ -330,7 +343,7 @@ def write_camera_json(path: str | Path, cam: CameraIntrinsics) -> None:
 
 
 def read_camera_json(path: str | Path) -> CameraIntrinsics:
-    return camera_from_dict(_loads(Path(path).read_text(encoding="utf-8")))
+    return camera_from_dict(_read_json(path))
 
 
 def write_bone_stats_json(path: str | Path, stats: BoneStats) -> None:
@@ -342,7 +355,7 @@ def write_bone_stats_json(path: str | Path, stats: BoneStats) -> None:
 
 
 def read_bone_stats_json(path: str | Path) -> BoneStats:
-    obj = _loads(Path(path).read_text(encoding="utf-8"))
+    obj = _read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("mean_length_mm"), list):
         raise DataFormatError("bone stats JSON must carry a mean_length_mm array")
     values = [_finite(v, "bone length") for v in obj["mean_length_mm"]]
@@ -359,7 +372,7 @@ def write_beta_json(path: str | Path, beta: np.ndarray) -> None:
 
 
 def read_beta_json(path: str | Path) -> np.ndarray:
-    obj = _loads(Path(path).read_text(encoding="utf-8"))
+    obj = _read_json(path)
     if not isinstance(obj, list) or not obj:
         raise DataFormatError("beta JSON must be a non-empty array")
     values = [_finite(v, "beta") for v in obj]
@@ -438,7 +451,7 @@ def write_report_json(path: str | Path, report: EvalReport) -> None:
 
 
 def read_report_json(path: str | Path) -> EvalReport:
-    obj = _loads(Path(path).read_text(encoding="utf-8"))
+    obj = _read_json(path)
     try:
         return EvalReport(
             protocol=obj["protocol"],

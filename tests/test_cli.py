@@ -8,9 +8,19 @@ import pytest
 
 from hand25d import serialize
 from hand25d.cli import DEFAULT_LATENT_AMPLITUDE, main
-from hand25d.errors import DataFormatError, Hand25DError
+from hand25d.errors import (
+    DataFormatError,
+    DegenerateProjectionError,
+    Hand25DError,
+    NonPositiveDepthError,
+    NoRealSolutionError,
+    NoValidKeypointsError,
+    ZeroBoneError,
+)
 from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
 from hand25d.metrics import align_root, epe, evaluate
+from hand25d.pose25d import NormalizationConfig, to_25d
+from hand25d.reconstruct import absolute_pose, reconstruct_pose, recover_scale
 from hand25d.skeleton import bone_lengths, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose, synth_bone_stats
 
@@ -301,6 +311,114 @@ class TestEvalStage:
             rec.valid[:] = False
         got, expected = eval_outcome(workdir, preds, gts, "root_aligned", "3d", capsys)
         assert got == expected == (3, "error: no valid keypoints in the whole corpus")
+
+
+NUMERICAL = (NoRealSolutionError, NonPositiveDepthError, DegenerateProjectionError, ZeroBoneError)
+
+
+def rewrite_reference(stage, records, cfg, stats):
+    """The per-record loop that normalize and reconstruct ran before they were
+    batched, over records as the stage reads them: (exit code, stderr lines,
+    records written or None)."""
+    skel = canonical_skeleton()
+    noun, verb, soft = (("normalization", "normalize", NoValidKeypointsError)
+                        if stage == "normalize" else
+                        ("reconstruction", "reconstruct", (NoValidKeypointsError, *NUMERICAL)))
+    out, err = [], []
+    for i, rec in enumerate(records):
+        keep = dict(side=rec.side, camera=rec.camera, meta=rec.meta)
+        try:
+            if rec.camera is None:
+                raise DataFormatError("no camera available; pass --camera")
+            if stage == "normalize":
+                p25 = to_25d(rec.pose3d(), rec.camera, cfg)
+                out.append(serialize.PoseRecord(rec.valid, px=p25.xy, zr_norm=p25.zr, **keep))
+                continue
+            if not rec.valid.any():
+                raise NoValidKeypointsError("record has no valid keypoint")
+            pose = reconstruct_pose(rec.pose25d(), rec.camera, cfg)
+            if stats is not None:
+                pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
+            out.append(serialize.PoseRecord(pose.valid, xyz_mm=pose.xyz, **keep))
+        except soft as exc:
+            err.append(f"record {i}: {noun} failed: {exc}")
+            out.append(serialize.PoseRecord(np.zeros(rec.num_keypoints, dtype=bool), **keep))
+        except NUMERICAL as exc:
+            return 4, err + [f"numerical failure: record {i}: {exc}"], None
+        except Hand25DError as exc:
+            return 3, err + [f"error: record {i}: {exc}"], None
+    if err:
+        err.append(f"{len(err)}/{len(records)} records failed to {verb}")
+    return 0, err, out
+
+
+@pytest.fixture
+def mixed_corpus(workdir):
+    """The 20 gt records, with all three views: records 2 and 4 lack the pair
+    and the root, record 6 has noisy depths that leave no real root, record 8
+    a keypoint far behind the root, 9 and 10 are left hands with a camera, and
+    record 12 has no meta."""
+    records = serialize.read_pose_records(workdir / "gt.jsonl")
+    records[2].valid[5] = False
+    records[4].valid[0] = False
+    records[6].zr_norm = records[6].zr_norm + np.random.default_rng(6).normal(scale=0.5,
+                                                                                size=21)
+    records[6].zr_norm[5] += 0.5
+    records[8].zr_norm[12] -= 1e3
+    for rec in records[9:11]:
+        rec.side = "left"
+    records[12].meta = None
+    return records
+
+
+class TestRewriteStages:
+    @pytest.mark.parametrize("fault", [None, "view", "camera", "zero-bone"])
+    @pytest.mark.parametrize("stage, flags", [
+        ("normalize", []), ("normalize", ["--camera", "--pair"]), ("reconstruct", []),
+        ("reconstruct", ["--bone-stats"]), ("reconstruct", ["--camera", "--bone-stats"])])
+    def test_matches_the_per_record_loop(self, workdir, mixed_corpus, stage, flags, fault,
+                                         capsys):
+        """Line for line the file and the stderr of the per-record loop, on
+        soft failures, numerical failures, left hands and, with `fault`, a
+        record 15 that lacks the stage's view, its camera or a pair bone
+        (index MCP to palm, a pair bone under the default pair only)."""
+        records = mixed_corpus
+        if fault == "view":
+            setattr(records[15], "xyz_mm" if stage == "normalize" else "zr_norm", None)
+        elif fault == "camera":
+            records[15].camera = None
+        elif fault == "zero-bone":
+            records[15].xyz_mm[5] = records[15].xyz_mm[0]
+        path, out, ref = (workdir / name for name in ("mixed.jsonl", "out.jsonl", "ref.jsonl"))
+        serialize.write_pose_records(path, records)
+        files = {"--camera": workdir / "cam.json", "--bone-stats": workdir / "stats.json",
+                 "--pair": "index_pip:index_mcp"}
+        argv = [stage, "--in", str(path), "--out", str(out)]
+        for flag in flags:
+            argv += [flag, str(files[flag])]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+
+        override = serialize.read_camera_json(files["--camera"]) if "--camera" in flags else None
+        read = serialize.read_pose_records(path)
+        for rec in read:
+            rec.camera = override or rec.camera
+        read = [rec if rec.camera is None else serialize.flip_record_to_right(rec)
+                for rec in read]
+        stats = (serialize.read_bone_stats_json(files["--bone-stats"])
+                 if "--bone-stats" in flags else None)
+        cfg = NormalizationConfig(pair=(6, 5) if "--pair" in flags else (5, 0))
+        expected = rewrite_reference(stage, read, cfg, stats)
+        assert (code, err) == expected[:2]
+        if expected[2] is None:
+            assert not out.exists()
+        else:
+            serialize.write_pose_records(ref, expected[2])
+            assert out.read_text().splitlines() == ref.read_text().splitlines()
+        failed = {"normalize": [2, 4], "reconstruct": [2, 4, 6, 8]}[stage]
+        assert [line.split(":")[0] for line in err[:len(failed)]] == [
+            f"record {i}" for i in failed]
 
 
 class TestEncodeDecode:
@@ -845,6 +963,14 @@ class TestRarelyTakenBranches:
         np.testing.assert_array_equal(after.px, records[1].px)
         assert not np.array_equal(after.xyz_mm, records[1].xyz_mm)
 
+    def test_shorten_tips_bad_factor_names_no_record(self, workdir, capsys):
+        out = workdir / "s.jsonl"
+        assert main(["shorten-tips", "--in", str(workdir / "gt.jsonl"), "--factor", "2",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: shortening factor must be in (0, 1], got 2.0"]
+        assert not out.exists()
+
     def test_pair_by_number_or_unknown_name(self, workdir, capsys):
         by_name, by_number = workdir / "name.jsonl", workdir / "number.jsonl"
         base = ["normalize", "--in", str(workdir / "gt.jsonl")]
@@ -950,6 +1076,19 @@ def _encode_empty_file(workdir):
     return ["encode", "--in", str(workdir / "empty.jsonl")]
 
 
+def _not_utf8(workdir, name, data):
+    """A file of the given bytes, which are not UTF-8; returns its path as a string."""
+    (workdir / name).write_bytes(data)
+    return str(workdir / name)
+
+
+def _shorten_tips_record_7_without_index_mcp(workdir):
+    records = serialize.read_pose_records(workdir / "gt.jsonl")
+    records[7].valid[5] = False
+    serialize.write_pose_records(workdir / "hole.jsonl", records)
+    return ["shorten-tips", "--in", str(workdir / "hole.jsonl")]
+
+
 def _set_camera(obj):
     obj["camera"] = [150.0, 150.0]
 
@@ -991,6 +1130,26 @@ REJECTIONS = {
                                      "record 3: record carries no 3D coordinates"),
     "reconstruct-record-without-zr": (_record_3_changed("reconstruct", zr_norm=None),
                                       "record 3: record carries no complete 2.5D view"),
+    "shorten-tips-record-without-pair": (
+        _shorten_tips_record_7_without_index_mcp,
+        "record 7: normalization pair (5, 0) must be valid in the 3D pose"),
+    "jsonl-not-utf8": (
+        lambda w: ["normalize", "--in", _not_utf8(w, "latin.jsonl", b"\xff\xfe{}\n")],
+        "latin.jsonl: not UTF-8 text (invalid start byte)"),
+    "camera-json-not-utf8": (
+        lambda w: ["normalize", "--in", str(w / "gt.jsonl"),
+                   "--camera", _not_utf8(w, "latin.json", b"\xff\n")],
+        "latin.json: not UTF-8 text (invalid start byte)"),
+    "bone-stats-json-not-utf8": (
+        lambda w: ["reconstruct", "--in", str(w / "gt.jsonl"),
+                   "--bone-stats", _not_utf8(w, "latin.json", b"\xff\n")],
+        "latin.json: not UTF-8 text (invalid start byte)"),
+    "beta-json-not-utf8": (
+        lambda w: _decode_latent_with_beta(w, [])[:-1] + [_not_utf8(w, "latin.json", b"\xff\n")],
+        "latin.json: not UTF-8 text (invalid start byte)"),
+    "report-json-not-utf8": (
+        lambda w: ["pck-curve", "--report", _not_utf8(w, "latin.json", b"{\"auc\": \xe9}\n")],
+        "latin.json: not UTF-8 text (invalid continuation byte)"),
 }
 
 
