@@ -132,11 +132,11 @@ def _stacked(records: list[serialize.PoseRecord], key: str, *shape: int, dtype=n
 
 
 def _rewrite(path, records, rows, redo, emit, soft=(), noun="", verb="") -> int:
-    """Write each record, with the views emit(rec, row) gives, to `path` after
-    the last one; return how many failed. row is rows[i], the stage kernel's,
-    or where that is None redo(rec), the per-pose function, run after the
+    """Write each record with the views emit(rec, row) to `path`, all after
+    the last one, and return how many failed. row is rows[i], the stage
+    kernel's, or if None redo(rec), the per-pose function, run after the
     camera check as quietly as the kernel. A `soft` error fails the record:
-    stderr gets a line, and it is written all-invalid. Any other library error
+    stderr gets a line and it is written all-invalid. Any other library error
     names the record, keeps its class (so its exit code) and writes nothing."""
     out, failures = [], 0
     for i, (rec, row) in enumerate(zip(records, rows)):
@@ -309,16 +309,18 @@ def _cmd_shorten_tips(args) -> int:
         if rec.xyz_mm is None:
             raise DataFormatError("shorten-tips needs xyz_mm")
         pose = shorten_fingertips(rec.pose3d(), args.factor, skel)
-        px, zr = rec.px, rec.zr_norm
+        views = {"px": rec.px, "xyz_mm": pose.xyz, "zr_norm": rec.zr_norm}
         if rec.camera is not None:
-            if px is not None:
-                px = project(pose, rec.camera)[0].xy
-            if zr is not None:
-                zr = to_25d(pose, rec.camera, cfg).zr
-        elif px is not None or zr is not None:
-            print(f"record {i}: no camera; px/zr_norm left unchanged and may now be "
-                  "inconsistent", file=sys.stderr)
-        return {"px": px, "xyz_mm": pose.xyz, "zr_norm": zr}
+            if rec.px is not None:
+                views["px"] = project(pose, rec.camera)[0].xy
+            if rec.zr_norm is not None:
+                views["zr_norm"] = to_25d(pose, rec.camera, cfg).zr
+        elif rec.px is not None or rec.zr_norm is not None:
+            print(
+                f"record {i}: no camera; px/zr_norm left unchanged and may now be inconsistent",
+                file=sys.stderr,
+            )
+        return views
 
     _rewrite(args.out, records, range(len(records)), None, emit)
     return 0

@@ -68,7 +68,6 @@ def _lines(path: str | Path):
 
 
 def _read_json(path: str | Path):
-    """The JSON value of a whole sidecar file."""
     return _loads("".join(_lines(path)))
 
 
