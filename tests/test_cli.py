@@ -391,22 +391,22 @@ class TestRewriteStages:
             records[15].xyz_mm[5] = records[15].xyz_mm[0]
         path, out, ref = (workdir / name for name in ("mixed.jsonl", "out.jsonl", "ref.jsonl"))
         serialize.write_pose_records(path, records)
-        files = {"--camera": workdir / "cam.json", "--bone-stats": workdir / "stats.json",
-                 "--pair": "index_pip:index_mcp"}
+        values = {"--camera": workdir / "cam.json", "--bone-stats": workdir / "stats.json",
+                  "--pair": "index_pip:index_mcp"}
         argv = [stage, "--in", str(path), "--out", str(out)]
         for flag in flags:
-            argv += [flag, str(files[flag])]
+            argv += [flag, str(values[flag])]
         capsys.readouterr()
         code = main(argv)
         err = capsys.readouterr().err.splitlines()
 
-        override = serialize.read_camera_json(files["--camera"]) if "--camera" in flags else None
+        override = serialize.read_camera_json(values["--camera"]) if "--camera" in flags else None
         read = serialize.read_pose_records(path)
         for rec in read:
             rec.camera = override or rec.camera
         read = [rec if rec.camera is None else serialize.flip_record_to_right(rec)
                 for rec in read]
-        stats = (serialize.read_bone_stats_json(files["--bone-stats"])
+        stats = (serialize.read_bone_stats_json(values["--bone-stats"])
                  if "--bone-stats" in flags else None)
         cfg = NormalizationConfig(pair=(6, 5) if "--pair" in flags else (5, 0))
         expected = rewrite_reference(stage, read, cfg, stats)
