@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from .types import Pose2D, Pose3D
+from .types import Pose2D, Pose3D, _as_array
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _pixels(x, y, z, cam):
 def backproject(p: Pose2D, depths: np.ndarray, cam: CameraIntrinsics) -> Pose3D:
     """Exact right-inverse of `project` on the Z > 0 domain; invalid
     keypoints come back as (0, 0, 0) placeholders."""
-    z = np.asarray(depths, dtype=np.float64)
+    z = _as_array(depths, np.float64, "depths")
     if z.shape != (p.num_keypoints,):
         raise ShapeMismatchError("one depth per keypoint required")
     if np.any(z[p.valid] <= 0):

@@ -63,7 +63,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
             idx.append(int(part))
         else:
             try:
-                idx.append(skel.index_of(part))
+                idx.append(skel.names.index(part))
             except ValueError:
                 raise ConfigError(f"unknown keypoint name {part!r}") from None
     return idx[0], idx[1]
@@ -311,10 +311,11 @@ def _cmd_shorten_tips(args) -> int:
         pose = shorten_fingertips(rec.pose3d(), args.factor, skel)
         views = {"px": rec.px, "xyz_mm": pose.xyz, "zr_norm": rec.zr_norm}
         if rec.camera is not None:
-            if rec.px is not None:
-                views["px"] = project(pose, rec.camera)[0].xy
-            if rec.zr_norm is not None:
-                views["zr_norm"] = to_25d(pose, rec.camera, cfg).zr
+            with np.errstate(all="ignore"):  # as quiet as the other stages' per-pose re-run
+                if rec.px is not None:
+                    views["px"] = project(pose, rec.camera)[0].xy
+                if rec.zr_norm is not None:
+                    views["zr_norm"] = to_25d(pose, rec.camera, cfg).zr
         elif rec.px is not None or rec.zr_norm is not None:
             print(
                 f"record {i}: no camera; px/zr_norm left unchanged and may now be inconsistent",

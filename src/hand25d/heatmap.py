@@ -28,7 +28,7 @@ from .errors import (
     OutOfGridError,
     ShapeMismatchError,
 )
-from .types import Pose25D
+from .types import Pose25D, _as_array
 
 DEFAULT_SIGMA = 5.0
 SUM_TOLERANCE = 1e-4
@@ -61,8 +61,8 @@ class HeatmapStack:
     depth: np.ndarray
 
     def __post_init__(self):
-        like = np.asarray(self.likelihood, dtype=np.float64)
-        depth = np.asarray(self.depth, dtype=np.float64)
+        like = _as_array(self.likelihood, np.float64, "likelihood")
+        depth = _as_array(self.depth, np.float64, "depth")
         if like.ndim != 3 or like.shape != depth.shape:
             raise ShapeMismatchError(
                 f"likelihood {like.shape} and depth {depth.shape} must both be (K, H, W)"
@@ -93,7 +93,7 @@ class SpreadParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = _as_array(self.beta, np.float64, "beta")
         if beta.ndim != 1:
             raise ShapeMismatchError("beta must be a flat per-keypoint array")
         if not np.isfinite(beta).all() or (beta <= 0).any():

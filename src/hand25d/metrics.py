@@ -71,16 +71,16 @@ def epe(
     return errors, float(errors.mean()), float(np.median(errors))
 
 
-def _align_root(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray, root: int) -> np.ndarray:
-    """Translate each (..., K, 3) pred onto its gt root, which the (..., K) mask must mark."""
-    if not valid[..., root].all():
-        raise InvalidRootError(f"root keypoint {root} must be valid in both poses")
-    return pred + (gt[..., root, :] - pred[..., root, :])[..., None, :]
+def _align_root(pred: np.ndarray, gt: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Translate each (..., K, 3) pred onto its gt palm, which the (..., K) mask must mark."""
+    if not valid[..., ROOT_INDEX].all():
+        raise InvalidRootError(f"root keypoint {ROOT_INDEX} must be valid in both poses")
+    return pred + (gt[..., ROOT_INDEX, :] - pred[..., ROOT_INDEX, :])[..., None, :]
 
 
-def align_root(pred: Pose3D, gt: Pose3D, root_index: int = 0) -> Pose3D:
-    """Translate pred so its root coincides with the ground-truth root."""
-    xyz = _align_root(pred.xyz, gt.xyz, pred.valid & gt.valid, root_index)
+def align_root(pred: Pose3D, gt: Pose3D) -> Pose3D:
+    """Translate pred so its root (the palm) coincides with the ground-truth root."""
+    xyz = _align_root(pred.xyz, gt.xyz, pred.valid & gt.valid)
     return Pose3D(xyz=xyz, valid=pred.valid.copy())
 
 
@@ -164,7 +164,7 @@ def evaluate(
         pred, gt, valid = _matched(pred, gt, valid)  # before rows are picked by the masks
         scored = valid.any(axis=-1)
         gt, valid = gt[scored], valid[scored]
-        pred = _align_root(pred[scored], gt, valid, ROOT_INDEX)
+        pred = _align_root(pred[scored], gt, valid)
     errors, mean, median = epe(pred, gt, valid)
     fractions = pck_curve(errors, thresholds)
     thr = np.asarray(thresholds, dtype=np.float64)

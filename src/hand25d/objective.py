@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoValidKeypointsError, ShapeMismatchError
-from .types import Pose2D, Pose25D
+from .types import Pose2D, Pose25D, _as_array
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ class SampleAnnotations:
 
     def __post_init__(self):
         if self.gt_zr is not None:
-            zr = np.asarray(self.gt_zr, dtype=np.float64)
+            zr = _as_array(self.gt_zr, np.float64, "gt_zr")
             if zr.shape != (self.gt_2d.num_keypoints,):
                 raise ShapeMismatchError("gt_zr must have one value per keypoint")
             object.__setattr__(self, "gt_zr", zr)
             mask = self.zr_valid
-            mask = self.gt_2d.valid.copy() if mask is None else np.asarray(mask, dtype=bool)
+            mask = self.gt_2d.valid.copy() if mask is None else _as_array(mask, bool, "zr_valid")
             if mask.shape != (self.gt_2d.num_keypoints,):
                 raise ShapeMismatchError("zr_valid must have one flag per keypoint")
             object.__setattr__(self, "zr_valid", mask)

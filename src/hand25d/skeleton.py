@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadFactorError, EmptyInputError, NonFiniteError, ShapeMismatchError
-from .types import Pose3D
+from .types import Pose3D, _as_array
 
 ROOT_INDEX = 0
 FINGERS = ("thumb", "index", "middle", "ring", "pinky")
@@ -26,32 +26,30 @@ FINGERTIP_INDICES = (4, 8, 12, 16, 20)
 class Skeleton:
     """Kinematic tree over the hand keypoints.
 
-    parent[k] is the parent joint of k; the root is self-parented.
+    parent[k] is the parent joint of k; the root is self-parented, and every
+    other parent precedes its child, so the tree has one root and no cycle.
     bones lists the (child, parent) edges in child order: bone id = child - 1.
     """
 
-    num_keypoints: int
     names: tuple[str, ...]
     parent: tuple[int, ...]
-    bones: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.names) != self.num_keypoints or len(self.parent) != self.num_keypoints:
-            raise ShapeMismatchError("names/parent length must equal num_keypoints")
-        roots = [k for k, p in enumerate(self.parent) if p == k]
-        if roots != [ROOT_INDEX]:
-            raise ShapeMismatchError(f"expected exactly keypoint {ROOT_INDEX} self-parented, got {roots}")
-        if self.bones != tuple((c, self.parent[c]) for c in range(1, self.num_keypoints)):
-            raise ShapeMismatchError("bones must list (k, parent[k]) in order k = 1..K-1")
-        # every node must reach the root by following parents (no cycles)
-        for k in range(self.num_keypoints):
-            seen = set()
-            node = k
-            while node != ROOT_INDEX:
-                if node in seen:
-                    raise ShapeMismatchError(f"parent map has a cycle through keypoint {k}")
-                seen.add(node)
-                node = self.parent[node]
+        parent = self.parent
+        if len(parent) != len(self.names):
+            raise ShapeMismatchError("parent must have one entry per name")
+        if not (parent and parent[0] == ROOT_INDEX
+                and all(0 <= p < k for k, p in enumerate(parent) if k)):
+            raise ShapeMismatchError(
+                f"expected parent[0] == {ROOT_INDEX} and 0 <= parent[k] < k for k >= 1")
+
+    @property
+    def num_keypoints(self) -> int:
+        return len(self.names)
+
+    @cached_property
+    def bones(self) -> tuple[tuple[int, int], ...]:
+        return tuple((c, self.parent[c]) for c in range(1, self.num_keypoints))
 
     @cached_property
     def bone_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -59,9 +57,6 @@ class Skeleton:
         ends = np.array(self.bones, dtype=np.intp).reshape(-1, 2).T.copy()
         ends.setflags(write=False)
         return ends[0], ends[1]
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
     def is_edge(self, child: int, parent: int) -> bool:
         return 0 <= child < self.num_keypoints and self.parent[child] == parent and child != parent
@@ -74,7 +69,7 @@ class BoneStats:
     mean_length: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mean_length, dtype=np.float64)
+        arr = _as_array(self.mean_length, np.float64, "mean_length")
         object.__setattr__(self, "mean_length", arr)
         if arr.ndim != 1:
             raise ShapeMismatchError("mean_length must be a flat array indexed by bone id")
@@ -92,13 +87,7 @@ def canonical_skeleton() -> Skeleton:
         for j, joint in enumerate(FINGER_JOINTS):
             names.append(f"{finger}_{joint}")
             parent.append(ROOT_INDEX if j == 0 else base + j - 1)
-    bones = tuple((child, parent[child]) for child in range(1, len(names)))
-    return Skeleton(
-        num_keypoints=len(names),
-        names=tuple(names),
-        parent=tuple(parent),
-        bones=bones,
-    )
+    return Skeleton(names=tuple(names), parent=tuple(parent))
 
 
 def bone_lengths(pose: Pose3D, skel: Skeleton) -> np.ndarray:

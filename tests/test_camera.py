@@ -9,7 +9,7 @@ from hand25d.camera import (
     normalized_image_coords,
     project,
 )
-from hand25d.errors import BadDepthError, BehindCameraError
+from hand25d.errors import BadDepthError, BehindCameraError, NonFiniteError, ShapeMismatchError
 from hand25d.types import Pose2D, Pose3D
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)
@@ -82,6 +82,11 @@ class TestBackproject:
         with pytest.raises(BadDepthError):
             backproject(Pose2D(xy=[[64.0, 64.0]]), np.array([0.0]), CAM)
 
+    @pytest.mark.parametrize("depths", [[500.0, 600.0], [], [[500.0]]])
+    def test_one_depth_per_keypoint(self, depths):
+        with pytest.raises(ShapeMismatchError, match="^one depth per keypoint required$"):
+            backproject(Pose2D(xy=[[64.0, 64.0]]), depths, CAM)
+
     @pytest.mark.parametrize("placeholder", [np.inf, -np.inf, np.nan])
     def test_placeholders_never_enter_arithmetic(self, placeholder):
         """Invalid pixels and depths are never read: any placeholder gives
@@ -95,6 +100,15 @@ class TestBackproject:
             back = backproject(odd, [500, placeholder, 300], cam)
         assert back.xyz.tobytes() == clean.xyz.tobytes()
         assert not back.xyz[1].any() and not np.signbit(back.xyz[1]).any()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fx", np.inf), ("fy", np.nan), ("cx", -np.inf), ("cy", np.nan), ("skew", np.inf),
+])
+def test_non_finite_intrinsics_rejected(field, value):
+    values = {"fx": 100.0, "fy": 100.0, "cx": 64.0, "cy": 64.0, "skew": 0.0, field: value}
+    with pytest.raises(NonFiniteError, match="^intrinsics must be finite$"):
+        CameraIntrinsics(**values)
 
 
 class TestNormalizedImageCoords:

@@ -224,7 +224,7 @@ def eval_reference(preds, gts, protocol, space):
         if space == "3d":
             pred_pose, gt_pose = pr.pose3d(), gt.pose3d()
             if protocol == "root_aligned":
-                pred_pose = align_root(pred_pose, gt_pose, root_index=0)
+                pred_pose = align_root(pred_pose, gt_pose)
             pred_pts.append(pred_pose.xyz)
             gt_pts.append(gt_pose.xyz)
         else:
@@ -765,13 +765,17 @@ class TestExitCodes:
         ("reconstruct", "zr_norm", 5, 1e200, "quadratic coefficients must be finite", 0),
         ("normalize", "xyz_mm", 7, [1e307, 0.0, 1e-300],
          "values must be finite; JSON has no NaN or infinity", 3),
-    ], ids=["reconstruct-pair-depth-overflows", "normalize-pixel-overflows"])
+        ("shorten-tips", "xyz_mm", 7, [1e307, 0.0, 1e-300],
+         "values must be finite; JSON has no NaN or infinity", 3),
+    ], ids=["reconstruct-pair-depth-overflows", "normalize-pixel-overflows",
+            "shorten-tips-pixel-overflows"])
     def test_overflowing_record_is_3_without_a_warning(self, workdir, capsys, stage, view,
                                                        keypoint, values, message, written):
         """A record whose arithmetic overflows ends the stage with its error
         and exit 3, and numpy warns nothing: the zr of 1e200 overflows the
         quadratic's coefficients, and X = 1e307 at Z = 1e-300 projects to an
-        infinite pixel, which the writer rejects after the records before it."""
+        infinite pixel (in normalize, and in shorten-tips's re-projection),
+        which the writer rejects after the records before it."""
         records = serialize.read_pose_records(workdir / "gt.jsonl")[:4]
         changed = getattr(records[3], view).copy()
         changed[keypoint] = values

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,37 @@ class TestStackValidation:
     def test_beta_positive(self):
         with pytest.raises(ConfigError):
             SpreadParams(beta=np.array([1.0, 0.0]))
+
+    MAP = np.full((2, 2), 0.25)  # a normalized probability map
+    DIRECT = HeatmapStack(kind="direct", likelihood=np.zeros((1, 4, 4)), depth=np.zeros((1, 4, 4)))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: HeatmapGrid(width=1, height=4), ConfigError, "grid must be at least 2x2"),
+        (lambda: HeatmapStack(kind="dense", likelihood=np.zeros((1, 2, 2)),
+                              depth=np.zeros((1, 2, 2))),
+         ConfigError, "unknown heatmap kind 'dense'"),
+        (lambda: encode_direct(pose_at([[1.0, 2.0]], [0.0]), GRID, exponent="l3"),
+         ConfigError, "unknown exponent 'l3'"),
+        (lambda: SpreadParams(beta=np.ones((2, 1))),
+         ShapeMismatchError, "beta must be a flat per-keypoint array"),
+        (lambda: spatial_softmax(np.zeros((4, 4)), SpreadParams.ones(4)),
+         ShapeMismatchError, "latent maps must be (K, H, W)"),
+        (lambda: depth_readout(TestStackValidation.MAP, np.zeros((2, 3))),
+         ShapeMismatchError, "depth map shape must match the probability map"),
+        (lambda: heatmap.vjp_depth_readout(TestStackValidation.MAP, np.zeros((2, 3)), 1.0),
+         ShapeMismatchError, "depth map shape must match the probability map"),
+        (lambda: heatmap.vjp_spatial_softmax(np.zeros((1, 2, 2)), SpreadParams.ones(1),
+                                             np.zeros((1, 2, 3))),
+         ShapeMismatchError, "upstream cotangent must match the latent maps"),
+        (lambda: heatmap.vjp_decode_latent(TestStackValidation.DIRECT, SpreadParams.ones(1),
+                                           np.zeros((1, 3))),
+         ConfigError, "vjp_decode_latent expects a latent-kind stack"),
+    ], ids=["grid-1x4", "unknown-kind", "unknown-exponent", "beta-2d", "latent-2d",
+            "depth-readout-shape", "vjp-depth-readout-shape", "vjp-softmax-upstream-shape",
+            "vjp-decode-direct-stack"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestBatchedKernels:

@@ -155,6 +155,10 @@ class TestPckCurve:
         with pytest.raises(EmptyThresholdsError):
             pck_curve(np.array([1.0]), [])
 
+    def test_no_errors(self):
+        with pytest.raises(NoValidKeypointsError, match="^no errors to aggregate$"):
+            pck_curve(np.array([]), [1.0, 2.0])
+
     def test_non_increasing_thresholds_rejected(self):
         with pytest.raises(ConfigError):
             pck_curve(np.array([1.0]), [2.0, 2.0])
@@ -181,6 +185,10 @@ class TestAuc:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             auc([1.0], [1.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="^thresholds and fractions differ in length$"):
+            auc([1.0, 2.0, 3.0], [0.5, 1.0])
 
     def test_permutation_invariant_errors(self):
         rng = np.random.default_rng(5)
@@ -236,6 +244,10 @@ class TestEvaluate:
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "nearest", "3d")
+
+    def test_unknown_space(self):
+        with pytest.raises(ConfigError, match="^unknown space '4d'$"):
+            evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "root_aligned", "4d")
 
     def test_mask_count_must_match_corpus(self):
         pts = [np.zeros((21, 3)), np.ones((21, 3))]

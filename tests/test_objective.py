@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hand25d.errors import NoValidKeypointsError
+from hand25d.errors import ConfigError, NoValidKeypointsError, ShapeMismatchError
 from hand25d.objective import LossConfig, SampleAnnotations, pose_loss
 from hand25d.types import Pose2D, Pose25D
 
@@ -101,6 +101,25 @@ class TestPoseLoss:
         )
         with pytest.raises(NoValidKeypointsError):
             pose_loss(pred_pose(), ann)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: LossConfig(alpha=0.0), ConfigError, "alpha must be positive and finite"),
+        (lambda: LossConfig(alpha=np.inf), ConfigError, "alpha must be positive and finite"),
+        (lambda: SampleAnnotations(Pose2D(xy=np.zeros((K, 2))), gt_zr=np.zeros(K - 1)),
+         ShapeMismatchError, "gt_zr must have one value per keypoint"),
+        (lambda: SampleAnnotations(Pose2D(xy=np.zeros((K, 2))), gt_zr=np.zeros(K),
+                                   zr_valid=np.ones(K + 1, dtype=bool)),
+         ShapeMismatchError, "zr_valid must have one flag per keypoint"),
+        (lambda: SampleAnnotations(Pose2D(xy=np.zeros((K, 2))), zr_valid=np.ones(K, dtype=bool)),
+         ConfigError, "zr_valid given without gt_zr"),
+        (lambda: pose_loss(Pose25D(xy=np.zeros((K - 1, 2)), zr=np.zeros(K - 1)),
+                           SampleAnnotations(Pose2D(xy=np.zeros((K, 2))))),
+         ShapeMismatchError, "prediction and annotation keypoint counts differ"),
+    ], ids=["alpha-zero", "alpha-inf", "gt-zr-short", "zr-valid-long", "zr-valid-alone",
+            "keypoint-count"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
     def test_nonnegative_and_zero_iff_exact(self):
         rng = np.random.default_rng(4)

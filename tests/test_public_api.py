@@ -31,10 +31,14 @@ def test_type_hints_resolve(obj):
 
 def test_fixed_settings_are_not_parameters():
     """The synth articulation ranges, depth range, bone jitter and
-    normalization, to_25d's root (the palm), record_to_dict's skeleton
-    (the canonical one) and pose_loss's norms (L1) are fixed."""
+    normalization, to_25d's and align_root's root (the palm),
+    record_to_dict's skeleton (the canonical one) and pose_loss's norms
+    (L1) are fixed; a Skeleton stores only what its bones derive from."""
     fields = [f.name for f in dataclasses.fields(hand25d.SynthConfig)]
     assert fields == ["seed", "camera", "grid", "bone_stats"]
     assert list(inspect.signature(hand25d.to_25d).parameters) == ["pose", "cam", "cfg"]
     assert list(inspect.signature(hand25d.serialize.record_to_dict).parameters) == ["rec"]
     assert [f.name for f in dataclasses.fields(hand25d.LossConfig)] == ["alpha"]
+    assert [f.name for f in dataclasses.fields(hand25d.Skeleton)] == ["names", "parent"]
+    assert list(inspect.signature(hand25d.align_root).parameters) == ["pred", "gt"]
+    assert not hasattr(hand25d.Skeleton, "index_of")

@@ -262,6 +262,11 @@ class TestRecoverScale:
         with pytest.raises(ShapeMismatchError):
             recover_scale(Pose3D(xyz=np.ones((22, 3))), stats, canonical_skeleton())
 
+    def test_stats_short_of_the_skeleton_rejected(self):
+        stats = BoneStats(mean_length=np.full(19, 5.0))
+        with pytest.raises(NoValidBonesError, match="^bone stats do not cover the skeleton$"):
+            recover_scale(Pose3D(xyz=np.ones((21, 3))), stats, canonical_skeleton())
+
 
 class TestAbsolutePose:
     def test_full_round_trip_to_metric(self):

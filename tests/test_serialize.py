@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hand25d import serialize
-from hand25d.camera import CameraIntrinsics, project
+from hand25d.camera import CameraIntrinsics, backproject, project
 from hand25d.errors import ConfigError, DataFormatError, Hand25DError, ShapeMismatchError
-from hand25d.heatmap import HeatmapGrid, HeatmapStack, encode_direct
+from hand25d.heatmap import HeatmapGrid, HeatmapStack, SpreadParams, encode_direct
 from hand25d.metrics import evaluate
+from hand25d.objective import SampleAnnotations
 from hand25d.skeleton import BoneStats, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose
 from hand25d.types import Pose2D, Pose3D, Pose25D
@@ -76,6 +77,25 @@ class TestPoseRecordJsonl:
         with pytest.raises(DataFormatError):
             serialize.read_pose_records(path)
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        records = synth_records(2)
+        path = tmp_path / "r.jsonl"
+        serialize.write_pose_records(path, records)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n  \n{second}\n\n")
+        back = serialize.read_pose_records(path)
+        assert [serialize.record_to_dict(r) for r in back] == [
+            serialize.record_to_dict(r) for r in records]
+        path.write_text(f"{first}\n\n{{}}\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:3: "):
+            serialize.read_pose_records(path)
+
+    def test_record_without_21_keypoints_is_not_written(self):
+        rec = serialize.PoseRecord(valid=np.ones(20, dtype=bool), px=np.zeros((20, 2)))
+        with pytest.raises(DataFormatError,
+                           match="^record keypoint count does not match the skeleton$"):
+            serialize.record_to_dict(rec)
+
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "v9.jsonl"
         path.write_text('{"schema_version":9,"side":"right","keypoints":[]}\n')
@@ -118,11 +138,13 @@ SINGLE_FAULTS = [
     (_set(["camera", "fx"], True), "fx is not a number"),
     (_set(["camera", "fy"], "100"), "fy is not a number"),
     (_set(["camera", "skew"], 10**400), "skew must be finite"),
+    (_set(["side"], "up"), "side must be 'left' or 'right', got 'up'"),
 ]
 SINGLE_FAULT_IDS = [
     "valid-str", "valid-int", "px-bool", "px-str", "xyz-null", "zr-bool", "zr-list",
     "px-null", "px-short", "xyz-scalar", "xyz-huge-int", "zr-inf", "id-bool", "id-float",
     "version-bool", "version-float", "camera-fx-bool", "camera-fy-str", "camera-skew-huge",
+    "side-up",
 ]
 
 
@@ -474,6 +496,20 @@ class TestReportAndCurve:
         serialize.write_report_json(second, serialize.read_report_json(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("change, cause", [
+        ({"auc": None}, "'auc'"),
+        ({"pck": [[20.0]]}, "not enough values to unpack"),
+        ({"per_keypoint_errors": 3.5}, "'float' object is not iterable"),
+    ], ids=["auc-missing", "pck-short-pair", "errors-scalar"])
+    def test_invalid_report_json(self, tmp_path, change, cause):
+        obj = serialize.report_to_dict(self.report())
+        obj.update(change)
+        obj = {k: v for k, v in obj.items() if v is not None}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataFormatError, match=f"^invalid report JSON: {re.escape(cause)}"):
+            serialize.read_report_json(path)
+
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "c.csv"
         serialize.write_curve_csv(path, [(20.0, 0.5), (21.0, 0.75)])
@@ -625,12 +661,31 @@ class TestPoseRecordShapes:
         with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             serialize.PoseRecord(**views)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Pose3D(xyz=np.zeros((21, 2))), "expected (K, 3) array, got (21, 2)"),
+        (lambda: Pose2D(xy=np.zeros(42)), "expected (K, 2) array, got (42,)"),
+        (lambda: Pose2D(xy=np.zeros((21, 2)), valid=np.ones(20, dtype=bool)),
+         "validity mask shape (20,) != (21,)"),
+        (lambda: Pose3D(xyz=np.zeros((21, 3)), valid=np.ones((21, 1), dtype=bool)),
+         "validity mask shape (21, 1) != (21,)"),
+        (lambda: Pose25D(xy=np.zeros((21, 2)), zr=np.zeros(20)), "zr shape (20,) != (21,)"),
+        (lambda: Pose25D(xy=np.zeros((21, 2)), zr=np.zeros((21, 1))),
+         "zr shape (21, 1) != (21,)"),
+        (lambda: Pose25D(xy=np.zeros((21, 2)), zr=np.zeros(21), root=21),
+         "root index 21 out of range"),
+        (lambda: Pose25D(xy=np.zeros((21, 2)), zr=np.zeros(21), root=-1),
+         "root index -1 out of range"),
+    ], ids=["xyz-2-wide", "xy-flat", "mask-short", "mask-2d", "zr-short", "zr-2d",
+            "root-past-end", "root-negative"])
+    def test_pose_container_shapes(self, build, message):
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestRaggedViews:
     """A ragged, non-numeric or out-of-range nesting raises
-    ShapeMismatchError naming the field, from PoseRecord and from the pose
-    containers alike."""
+    ShapeMismatchError naming the field, from PoseRecord, the pose
+    containers and every other array argument alike."""
 
     CASES = [
         ("px", {"px": [[1.0, 2.0], [3.0]]}, "inhomogeneous shape"),
@@ -652,3 +707,24 @@ class TestRaggedViews:
         name = {"px": "xy", "valid": "validity mask"}[field]
         with pytest.raises(ShapeMismatchError, match=f"^{name} cannot be read as a .* array: .*{cause}"):
             Pose2D(xy=views["px"], valid=views["valid"])
+
+    @pytest.mark.parametrize("build, field, cause", [
+        (lambda: BoneStats(mean_length=[[1.0, 2.0], [3.0]]), "mean_length", "inhomogeneous shape"),
+        (lambda: SpreadParams(beta=["x"]), "beta", "could not convert string to float"),
+        (lambda: HeatmapStack(kind="latent", likelihood=[np.zeros((2, 2)), np.zeros((3, 2))],
+                              depth=np.zeros((2, 2, 2))),
+         "likelihood", "inhomogeneous shape"),
+        (lambda: HeatmapStack(kind="latent", likelihood=np.zeros((1, 2, 2)), depth=[[["a"]]]),
+         "depth", "could not convert string to float"),
+        (lambda: SampleAnnotations(Pose2D(xy=np.zeros((2, 2))), gt_zr=["a", "b"]),
+         "gt_zr", "could not convert string to float"),
+        (lambda: SampleAnnotations(Pose2D(xy=np.zeros((2, 2))), gt_zr=[0.0, 0.0],
+                                   zr_valid=[[True], [True, False]]),
+         "zr_valid", "inhomogeneous shape"),
+        (lambda: backproject(Pose2D(xy=np.zeros((2, 2))), ["a", "b"],
+                             CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0)),
+         "depths", "could not convert string to float"),
+    ], ids=["bone-stats", "beta", "likelihood", "depth", "gt-zr", "zr-valid", "backproject"])
+    def test_other_array_arguments(self, build, field, cause):
+        with pytest.raises(ShapeMismatchError, match=f"^{field} cannot be read as a .* array: .*{cause}"):
+            build()

@@ -4,6 +4,7 @@ import pytest
 from hand25d.errors import BadFactorError, EmptyInputError, NonFiniteError, ShapeMismatchError
 from hand25d.skeleton import (
     FINGERTIP_INDICES,
+    BoneStats,
     Skeleton,
     bone_lengths,
     canonical_skeleton,
@@ -43,15 +44,38 @@ class TestCanonicalSkeleton:
         with pytest.raises(ValueError):
             children[0] = 3  # shared by every caller, so read-only
 
-    @pytest.mark.parametrize("bones", [
-        lambda b: b[1:] + b[:1],                # reordered: bone id != child - 1
-        lambda b: b[:-1],                       # one bone short
-        lambda b: b[:-1] + ((20, 0),),          # edge not in the parent map
-    ], ids=["reordered", "short", "foreign-edge"])
-    def test_bones_must_follow_child_order(self, bones):
-        skel = canonical_skeleton()
+    @pytest.mark.parametrize("names, parent", [
+        (("palm", "a"), (0,)),                  # one parent short
+        (("palm", "a"), (1, 0)),                # root not first
+        (("palm", "a", "b"), (0, 2, 0)),        # a parent after its child
+        (("palm", "a", "b"), (0, 2, 1)),        # a two-node cycle
+        ((), ()),                               # no root at all
+    ], ids=["length-mismatch", "root-not-first", "parent-after-child", "two-node-cycle",
+            "empty"])
+    def test_every_parent_precedes_its_child(self, names, parent):
         with pytest.raises(ShapeMismatchError):
-            Skeleton(skel.num_keypoints, skel.names, skel.parent, bones(skel.bones))
+            Skeleton(names, parent)
+
+    def test_pinned_to_the_canonical_hand(self):
+        """The canonical hand as literals: its names and parents, and the
+        num_keypoints, bones and bone_ends derived from them."""
+        skel = canonical_skeleton()
+        assert skel.num_keypoints == 21
+        assert skel.bones == (
+            (1, 0), (2, 1), (3, 2), (4, 3), (5, 0), (6, 5), (7, 6), (8, 7), (9, 0), (10, 9),
+            (11, 10), (12, 11), (13, 0), (14, 13), (15, 14), (16, 15), (17, 0), (18, 17),
+            (19, 18), (20, 19))
+        children, parents = skel.bone_ends
+        assert children.tolist() == list(range(1, 21))
+        assert parents.tolist() == [0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0,
+                                    17, 18, 19]
+        assert skel.names == (
+            "palm", "thumb_mcp", "thumb_pip", "thumb_dip", "thumb_tip", "index_mcp", "index_pip",
+            "index_dip", "index_tip", "middle_mcp", "middle_pip", "middle_dip", "middle_tip",
+            "ring_mcp", "ring_pip", "ring_dip", "ring_tip", "pinky_mcp", "pinky_pip", "pinky_dip",
+            "pinky_tip")
+        assert skel.parent == (0, 0, 1, 2, 3, 0, 5, 6, 7, 0, 9, 10, 11, 0, 13, 14, 15, 0, 17,
+                               18, 19)
 
     def test_every_node_reaches_root_within_four_hops(self):
         skel = canonical_skeleton()
@@ -67,6 +91,19 @@ class TestCanonicalSkeleton:
         parents = set(skel.parent[k] for k in range(1, 21))
         for tip in FINGERTIP_INDICES:
             assert tip not in parents
+
+
+class TestBoneStats:
+    @pytest.mark.parametrize("lengths, error, message", [
+        (np.ones((20, 1)), ShapeMismatchError, "mean_length must be a flat array indexed by bone id"),
+        (5.0, ShapeMismatchError, "mean_length must be a flat array indexed by bone id"),
+        ([30.0, 0.0], NonFiniteError, "bone length means must be finite and positive"),
+        ([30.0, -1.0], NonFiniteError, "bone length means must be finite and positive"),
+        ([30.0, np.inf], NonFiniteError, "bone length means must be finite and positive"),
+    ], ids=["2d", "scalar", "zero", "negative", "inf"])
+    def test_rejected(self, lengths, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            BoneStats(mean_length=lengths)
 
 
 class TestBoneLengths:
@@ -179,3 +216,7 @@ class TestShortenFingertips:
     def test_bad_factor(self, factor):
         with pytest.raises(BadFactorError):
             shorten_fingertips(random_pose(8), factor, canonical_skeleton())
+
+    def test_keypoint_count_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="^pose and skeleton keypoint counts differ$"):
+            shorten_fingertips(Pose3D(xyz=np.zeros((20, 3))), 0.9, canonical_skeleton())

@@ -223,3 +223,7 @@ class TestConfigValidation:
 
     def test_default_camera(self):
         assert SynthConfig().camera == DEFAULT_CAMERA
+
+    def test_bone_stats_of_a_pinned_config_are_the_pin(self):
+        stats = BoneStats(mean_length=np.linspace(20.0, 40.0, 20))
+        assert synth_bone_stats(SynthConfig(bone_stats=stats)) is stats
