@@ -48,7 +48,7 @@ def project(pose: Pose3D, cam: CameraIntrinsics) -> tuple[Pose2D, np.ndarray]:
     keypoints are passed through as (0, 0) placeholders.
     """
     z = pose.xyz[:, 2]
-    if np.any(z[pose.valid] <= 0):
+    if (z[pose.valid] <= 0).any():
         raise BehindCameraError("all valid keypoints must have Z > 0")
     xy = np.zeros((pose.num_keypoints, 2))
     ok = pose.valid & (z > 0)
@@ -69,7 +69,7 @@ def backproject(p: Pose2D, depths: np.ndarray, cam: CameraIntrinsics) -> Pose3D:
     z = _as_array(depths, np.float64, "depths")
     if z.shape != (p.num_keypoints,):
         raise ShapeMismatchError("one depth per keypoint required")
-    if np.any(z[p.valid] <= 0):
+    if (z[p.valid] <= 0).any():
         raise BadDepthError("all valid depths must be positive")
     rays = normalized_image_coords(np.where(p.valid[:, None], p.xy, 0.0), cam)
     return Pose3D(xyz=_lift(rays, z, p.valid), valid=p.valid.copy())
@@ -81,15 +81,18 @@ def normalized_image_coords(xy: np.ndarray, cam: CameraIntrinsics) -> np.ndarray
     pts = np.asarray(xy, dtype=np.float64)
     v = (pts[..., 1] - cam.cy) / cam.fy
     u = (pts[..., 0] - cam.cx - cam.skew * v) / cam.fx
-    return np.stack([u, v], axis=-1)
+    rays = np.empty(u.shape + (2,))  # filled by slices: np.stack costs µs per call
+    rays[..., 0] = u
+    rays[..., 1] = v
+    return rays
 
 
 def _lift(rays: np.ndarray, z: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(..., K, 3) points at depth z along the (..., K, 2) rays from
     `normalized_image_coords`; only valid rows are computed, the others are exactly 0.0."""
     xyz = np.zeros(z.shape + (3,))
-    xyz[valid, :2] = rays[valid] * z[valid, None]
-    xyz[valid, 2] = z[valid]
+    np.multiply(rays, z[..., None], out=xyz[..., :2], where=valid[..., None])
+    np.copyto(xyz[..., 2], z, where=valid)
     return xyz
 
 

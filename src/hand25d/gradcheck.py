@@ -48,6 +48,7 @@ from .heatmap import (
     vjp_softargmax,
     vjp_spatial_softmax,
 )
+from .types import _positive_finite
 
 TARGETS = ("spatial_softmax", "softargmax", "depth_readout", "decode_latent")
 
@@ -197,7 +198,7 @@ def gradcheck(
     if not (isinstance(seeds, numbers.Integral) and seeds >= 1):
         raise ConfigError(f"seeds must be an integer >= 1, got {seeds!r}")
     for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
+        if not _positive_finite(value):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     inputs_of, upstream_shape, forward, batched, vjp = _TABLE[target]
     max_err = 0.0

@@ -28,7 +28,7 @@ from .errors import (
     OutOfGridError,
     ShapeMismatchError,
 )
-from .types import Pose25D, _as_array
+from .types import Pose25D, _as_array, _positive_finite
 
 DEFAULT_SIGMA = 5.0
 SUM_TOLERANCE = 1e-4
@@ -120,7 +120,7 @@ def encode_direct(
     keypoints get all-zero maps; a valid one whose map underflows to 0,
     in float64 or in float32 as H25D stores it, raises.
     """
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not _positive_finite(sigma):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if exponent not in ("l2sq", "l1"):
         raise ConfigError(f"unknown exponent {exponent!r}")

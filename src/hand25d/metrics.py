@@ -23,7 +23,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .skeleton import ROOT_INDEX
-from .types import Pose3D
+from .types import Pose3D, _positive_finite
 
 PROTOCOLS = ("root_aligned", "absolute_with_scale")
 
@@ -122,7 +122,7 @@ def pckh_curve(
 ) -> np.ndarray:
     """PCK on 2D errors normalized by head length; thresholds are
     fractions of the head length."""
-    if not (np.isfinite(head_length) and head_length > 0):
+    if not _positive_finite(head_length):
         raise BadHeadLengthError(f"head length must be positive, got {head_length}")
     errors, _, _ = epe(pred2d, gt2d, valid)
     return pck_curve(errors / head_length, thresholds)

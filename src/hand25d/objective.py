@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoValidKeypointsError, ShapeMismatchError
-from .types import Pose2D, Pose25D, _as_array
+from .types import Pose2D, Pose25D, _as_array, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class LossConfig:
     alpha: float = 20.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        if not _positive_finite(self.alpha):
             raise ConfigError("alpha must be positive and finite")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .camera import CameraIntrinsics, _Columns, _pixels, project
 from .errors import ConfigError, NoValidKeypointsError, ZeroBoneError
 from .skeleton import ROOT_INDEX, canonical_skeleton
-from .types import Pose3D, Pose25D
+from .types import Pose3D, Pose25D, _positive_finite
 
 MIN_BONE_MM = 1e-9
 
@@ -31,7 +31,7 @@ class NormalizationConfig:
     pair: tuple[int, int] = (5, ROOT_INDEX)
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
+        if not _positive_finite(self.c):
             raise ConfigError("normalization constant c must be positive and finite")
         n, m = self.pair
         if not canonical_skeleton().is_edge(n, m):

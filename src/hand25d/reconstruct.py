@@ -17,6 +17,7 @@ discriminant and does not satisfy the distance constraint; see the tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .pose25d import NormalizationConfig
 from .skeleton import BoneStats, Skeleton, bone_lengths
-from .types import Pose3D, Pose25D
+from .types import Pose3D, Pose25D, _positive_finite
 
 DEGENERATE_A = 1e-12
 DISCRIMINANT_SLACK = -1e-9
@@ -48,7 +49,7 @@ class QuadraticCoeffs:
     c: float
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.a, self.b, self.c)):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
             raise NonFiniteError("quadratic coefficients must be finite")
 
 
@@ -126,7 +127,7 @@ def reconstruct_pose(
         cfg.c,
     )
     z = solve_zroot(q) + np.where(p25.valid, p25.zr, 0.0)
-    if np.any(z[p25.valid] <= 0):
+    if (z[p25.valid] <= 0).any():
         raise NonPositiveDepthError("reconstruction placed a valid keypoint behind the camera")
     return Pose3D(xyz=_lift(rays, z, p25.valid), valid=p25.valid.copy())
 
@@ -171,7 +172,7 @@ def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:
     d = bone_lengths(pose, skel)
     children, parents = skel.bone_ends
     usable = pose.valid[children] & pose.valid[parents] & (d > 0)
-    if not np.any(usable):
+    if not usable.any():
         raise NoValidBonesError("no bone has two valid endpoints and nonzero length")
     mu = stats.mean_length[usable]
     d = d[usable]
@@ -180,6 +181,6 @@ def recover_scale(pose: Pose3D, stats: BoneStats, skel: Skeleton) -> float:
 
 def absolute_pose(pose: Pose3D, s_hat: float, c: float = 1.0) -> Pose3D:
     """Scale a normalized pose back to metric units: P = (s_hat / c) * P_hat."""
-    if not (np.isfinite(s_hat) and s_hat > 0):
+    if not _positive_finite(s_hat):
         raise BadScaleError(f"scale must be positive and finite, got {s_hat}")
     return Pose3D(xyz=(s_hat / c) * pose.xyz, valid=pose.valid.copy())

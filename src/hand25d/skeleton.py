@@ -91,13 +91,15 @@ def canonical_skeleton() -> Skeleton:
 
 
 def bone_lengths(pose: Pose3D, skel: Skeleton) -> np.ndarray:
-    """Euclidean length of every bone, indexed by bone id."""
+    """Euclidean length of every bone, indexed by bone id: the formula of
+    np.linalg.norm(v, axis=1) for a real v, in its bits, without its wrapper."""
     if pose.num_keypoints != skel.num_keypoints:
         raise ShapeMismatchError("pose and skeleton keypoint counts differ")
     if not np.isfinite(pose.xyz).all():
         raise NonFiniteError("pose contains NaN or inf coordinates")
     children, parents = skel.bone_ends
-    return np.linalg.norm(pose.xyz[children] - pose.xyz[parents], axis=1)
+    v = pose.xyz[children] - pose.xyz[parents]
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def mean_bone_stats(poses: Iterable[Pose3D] | Sequence[Pose3D], skel: Skeleton) -> BoneStats:

@@ -7,6 +7,7 @@ synthetic fixtures stay cheap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,16 @@ def _as_array(value, dtype, what: str) -> np.ndarray:
         return np.asarray(value, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ShapeMismatchError(f"{what} cannot be read as a {np.dtype(dtype)} array: {exc}") from exc
+
+
+def _positive_finite(x) -> bool:
+    """x is one real number, finite and > 0. A str, None, a complex number or
+    an array that is not 0-d is not one: False, where np.isfinite raises
+    TypeError or gives an array. math.isfinite takes 0.1 µs, np.isfinite ~1."""
+    try:
+        return math.isfinite(x) and x > 0
+    except (TypeError, OverflowError):
+        return False
 
 
 def _as_points(a, dim: int, what: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The batched kernels behind the normalize and reconstruct stages equal
 the per-pose functions bit for bit, and a row is ok exactly when the
-per-pose function raises nothing for it."""
+per-pose function raises nothing for it. The formula helpers both share
+keep the bits of their plain numpy forms."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hand25d.camera import CameraIntrinsics, _columns
+from hand25d.camera import CameraIntrinsics, _columns, _lift, normalized_image_coords
 from hand25d.errors import (
     BehindCameraError,
     DegenerateProjectionError,
@@ -26,6 +27,7 @@ from hand25d.reconstruct import (
     quadratic_coefficients,
     reconstruct_pose,
 )
+from hand25d.skeleton import bone_lengths, canonical_skeleton
 from hand25d.synth import SynthConfig, gen_pose
 from hand25d.types import Pose3D, Pose25D
 
@@ -201,6 +203,95 @@ class TestScalarSquares:
         xyz, ok = _reconstruct_rows(px, zr, valid, _columns([cam]))
         assert ok.tolist() == [True]
         assert _same_bits(xyz[0], reconstruct_pose(Pose25D(px[0], zr[0]), cam).xyz)
+
+
+def _stacked_coords(xy, cam):
+    """normalized_image_coords written with np.stack."""
+    pts = np.asarray(xy, dtype=np.float64)
+    v = (pts[..., 1] - cam.cy) / cam.fy
+    u = (pts[..., 0] - cam.cx - cam.skew * v) / cam.fx
+    return np.stack([u, v], axis=-1)
+
+
+def _masked_lift(rays, z, valid):
+    """_lift written with boolean-mask gathers and scatters."""
+    xyz = np.zeros(z.shape + (3,))
+    xyz[valid, :2] = rays[valid] * z[valid, None]
+    xyz[valid, 2] = z[valid]
+    return xyz
+
+
+def _values(rng, shape):
+    """Signed values from 1e-5 to 1e5 in magnitude, with exact 0.0 and -0.0
+    mixed in, so products carry both signs of zero."""
+    out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    return np.where(rng.random(shape) < 0.15, rng.choice([0.0, -0.0], shape), out)
+
+
+def _batch(rng, n, k):
+    """A (K,) shape for n None, else (n, K); a mask with random density and,
+    for a batch, some rows all invalid."""
+    shape = (k,) if n is None else (n, k)
+    valid = rng.random(shape) < rng.choice([0.0, 0.5, 0.9, 1.0])
+    if n:
+        valid[rng.random(n) < 0.3] = False
+    return shape, valid
+
+
+class TestSharedHelperBits:
+    """normalized_image_coords, _lift and bone_lengths give, bit for bit,
+    what np.stack, boolean-mask indexing and np.linalg.norm(v, axis=1) give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([None, 0, 1, 3]),
+           k=st.sampled_from([0, 1, 5, 21]), columns=st.booleans())
+    def test_normalized_image_coords(self, seed, n, k, columns):
+        rng = np.random.default_rng(seed)
+        shape, valid = _batch(rng, n, k)
+        cam = _camera(rng)
+        if columns and n is not None:
+            cam = _columns([rng.choice([None, cam, _camera(rng)]) for _ in range(n)])
+        xy = _values(rng, shape + (2,))
+        # pixels exactly on the principal point, and masked to 0.0 as callers do
+        on_axis = rng.random(shape) < 0.1
+        xy[on_axis] = np.broadcast_to(np.stack([cam.cx, cam.cy], axis=-1), shape + (2,))[on_axis]
+        xy = np.where(valid[..., None], xy, 0.0)
+        assert _same_bits(normalized_image_coords(xy, cam), _stacked_coords(xy, cam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([None, 0, 1, 3]),
+           k=st.sampled_from([0, 1, 5, 21]))
+    def test_lift(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        shape, valid = _batch(rng, n, k)
+        rays, z = _values(rng, shape + (2,)), _values(rng, shape)
+        assert _same_bits(_lift(rays, z, valid), _masked_lift(rays, z, valid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bone_lengths(self, seed):
+        rng = np.random.default_rng(seed)
+        xyz = _values(rng, (21, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        xyz[rng.random(21) < 0.1] = xyz[0]  # zero-length bones
+        children, parents = canonical_skeleton().bone_ends
+        norm = np.linalg.norm(xyz[children] - xyz[parents], axis=1)
+        assert _same_bits(bone_lengths(Pose3D(xyz), canonical_skeleton()), norm)
+
+    @pytest.mark.parametrize("n", [None, 4])
+    def test_lift_never_computes_an_invalid_row(self, n):
+        """Invalid rows whose product would overflow are never multiplied:
+        nothing raises under errstate(all="raise"), they come back +0.0 and
+        the valid rows keep their bits."""
+        rng = np.random.default_rng(12)
+        shape, valid = _batch(rng, n, 21)
+        valid.flat[0] = True
+        rays, z = rng.normal(size=shape + (2,)), rng.uniform(0.1, 10.0, shape)
+        rays[~valid], z[~valid] = 1e300, 1e300
+        with np.errstate(all="raise"):
+            xyz = _lift(rays, z, valid)
+        assert xyz[~valid].tobytes() == bytes(8 * 3 * int((~valid).sum()))
+        assert _same_bits(xyz[valid][:, :2], rays[valid] * z[valid, None])
+        assert _same_bits(xyz[valid][:, 2], z[valid])
 
 
 @pytest.mark.parametrize("cams, expected", [
