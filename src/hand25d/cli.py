@@ -337,6 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pair", default="index_mcp:palm", help="normalization bone child:parent")
         p.add_argument("--c", type=float, default=1.0, help="normalized pair bone length")
 
+    def add_io(p):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+
     p = sub.add_parser("synth", help="generate synthetic pose records")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
@@ -346,15 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("normalize", help="3D records -> scale-normalized 2.5D records")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    add_io(p)
     p.add_argument("--camera", help="camera JSON overriding per-record cameras")
     add_pair_args(p)
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("reconstruct", help="2.5D records -> 3D poses (absolute with --bone-stats)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    add_io(p)
     p.add_argument("--camera", help="camera JSON overriding per-record cameras")
     p.add_argument("--bone-stats", help="bone stats JSON; enables metric scale recovery")
     p.add_argument("--strict", action="store_true", help="exit 4 if any record fails")
@@ -362,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("encode", help="one 2.5D record -> heatmap stack")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    add_io(p)
     p.add_argument("--grid", default="128x128")
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
     p.add_argument("--kind", choices=["direct", "latent"], default="direct")
@@ -375,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="heatmap stack -> 2.5D record")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    add_io(p)
     p.add_argument("--beta", help="beta JSON for latent stacks (default: all ones)")
     p.set_defaults(func=_cmd_decode)
 
@@ -402,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("shorten-tips", help="scale the last bone of each finger")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    add_io(p)
     p.add_argument("--factor", type=float, default=1.0)
     add_pair_args(p)
     p.set_defaults(func=_cmd_shorten_tips)

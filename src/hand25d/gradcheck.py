@@ -27,7 +27,6 @@ anything else raises ConfigError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .heatmap import (
     vjp_softargmax,
     vjp_spatial_softmax,
 )
-from .types import _positive_finite
+from .types import _is_int, _positive_finite
 
 TARGETS = ("spatial_softmax", "softargmax", "depth_readout", "decode_latent")
 
@@ -195,7 +194,7 @@ def gradcheck(
     `seeds` random problems."""
     if target not in _TABLE:
         raise UnknownTargetError(f"no gradcheck target {target!r}; choose from {TARGETS}")
-    if not (isinstance(seeds, numbers.Integral) and seeds >= 1):
+    if not (_is_int(seeds) and seeds >= 1):
         raise ConfigError(f"seeds must be an integer >= 1, got {seeds!r}")
     for name, value in (("eps", eps), ("tol", tol)):
         if not _positive_finite(value):

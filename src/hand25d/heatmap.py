@@ -28,7 +28,7 @@ from .errors import (
     OutOfGridError,
     ShapeMismatchError,
 )
-from .types import Pose25D, _as_array, _positive_finite
+from .types import Pose25D, _as_array, _is_int, _positive_finite
 
 DEFAULT_SIGMA = 5.0
 SUM_TOLERANCE = 1e-4
@@ -42,6 +42,9 @@ class HeatmapGrid:
     height: int
 
     def __post_init__(self):
+        for name, value in (("width", self.width), ("height", self.height)):
+            if not _is_int(value):
+                raise ConfigError(f"grid {name} must be an integer, got {value!r}")
         if self.width < 2 or self.height < 2:
             raise ConfigError("grid must be at least 2x2")
 
@@ -124,6 +127,8 @@ def encode_direct(
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if exponent not in ("l2sq", "l1"):
         raise ConfigError(f"unknown exponent {exponent!r}")
+    if out_of_grid not in ("error", "clamp"):
+        raise ConfigError(f"unknown out_of_grid {out_of_grid!r}")
     xs, ys = _pixel_axes(grid.height, grid.width)
     k = p25.num_keypoints
     # every map is written below, so the outputs skip calloc's zeroing

@@ -84,15 +84,20 @@ def align_root(pred: Pose3D, gt: Pose3D) -> Pose3D:
     return Pose3D(xyz=xyz, valid=pred.valid.copy())
 
 
+def _check_thresholds(thr: np.ndarray) -> None:
+    """ConfigError unless the thresholds are finite and strictly increasing."""
+    if not np.isfinite(thr).all():
+        raise ConfigError("thresholds must be finite")
+    if np.any(np.diff(thr) <= 0):
+        raise ConfigError("thresholds must be strictly increasing")
+
+
 def pck_curve(errors: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     """Fraction of errors <= t for each threshold t (closed inequality)."""
     thr = np.asarray(thresholds, dtype=np.float64)
     if thr.size == 0:
         raise EmptyThresholdsError("at least one threshold required")
-    if not np.isfinite(thr).all():
-        raise ConfigError("thresholds must be finite")
-    if thr.size > 1 and np.any(np.diff(thr) <= 0):
-        raise ConfigError("thresholds must be strictly increasing")
+    _check_thresholds(thr)
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise NoValidKeypointsError("no errors to aggregate")
@@ -108,6 +113,7 @@ def auc(thresholds: Sequence[float], fractions: Sequence[float]) -> float:
         raise ShapeMismatchError("thresholds and fractions differ in length")
     if thr.size < 2:
         raise TooFewPointsError("AUC needs at least two curve points")
+    _check_thresholds(thr)
     dt = np.diff(thr)
     area = float((0.5 * (frac[1:] + frac[:-1]) * dt).sum())
     return area / float(thr[-1] - thr[0])

@@ -14,7 +14,7 @@ import numpy as np
 from .camera import CameraIntrinsics, _Columns, _pixels, project
 from .errors import ConfigError, NoValidKeypointsError, ZeroBoneError
 from .skeleton import ROOT_INDEX, canonical_skeleton
-from .types import Pose3D, Pose25D, _positive_finite
+from .types import Pose3D, Pose25D, _int_pair, _positive_finite
 
 MIN_BONE_MM = 1e-9
 
@@ -33,8 +33,11 @@ class NormalizationConfig:
     def __post_init__(self):
         if not _positive_finite(self.c):
             raise ConfigError("normalization constant c must be positive and finite")
+        if not _int_pair(self.pair):
+            raise ConfigError(f"pair must be two integers (child, parent), got {self.pair!r}")
         n, m = self.pair
-        if not canonical_skeleton().is_edge(n, m):
+        parent = canonical_skeleton().parent
+        if not (0 < n < len(parent) and parent[n] == m):
             raise ConfigError(f"pair {self.pair} is not a (child, parent) bone of the hand tree")
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .camera import CameraIntrinsics, _Columns, _lift, normalized_image_coords
 from .errors import (
     BadScaleError,
+    ConfigError,
     DegenerateProjectionError,
     NonFiniteError,
     NonPositiveDepthError,
@@ -183,4 +184,6 @@ def absolute_pose(pose: Pose3D, s_hat: float, c: float = 1.0) -> Pose3D:
     """Scale a normalized pose back to metric units: P = (s_hat / c) * P_hat."""
     if not _positive_finite(s_hat):
         raise BadScaleError(f"scale must be positive and finite, got {s_hat}")
+    if not _positive_finite(c):
+        raise ConfigError("normalization constant c must be positive and finite")
     return Pose3D(xyz=(s_hat / c) * pose.xyz, valid=pose.valid.copy())

@@ -8,8 +8,6 @@ byte-identical. NaN and infinity are rejected on both ends.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import struct
@@ -470,9 +468,5 @@ def read_report_json(path: str | Path) -> EvalReport:
 
 
 def write_curve_csv(path: str | Path, pck: Iterable[tuple[float, float]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["threshold", "fraction"])
-    for t, f in pck:
-        writer.writerow([repr(float(t)), repr(float(f))])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    rows = "".join(f"{float(t)!r},{float(f)!r}\n" for t, f in pck)
+    Path(path).write_text("threshold,fraction\n" + rows, encoding="utf-8")

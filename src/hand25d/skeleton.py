@@ -58,9 +58,6 @@ class Skeleton:
         ends.setflags(write=False)
         return ends[0], ends[1]
 
-    def is_edge(self, child: int, parent: int) -> bool:
-        return 0 <= child < self.num_keypoints and self.parent[child] == parent and child != parent
-
 
 @dataclass(frozen=True)
 class BoneStats:

@@ -36,7 +36,7 @@ from .pose25d import (
 from .reconstruct import _coefficients, _root, quadratic_coefficients, solve_zroot
 from .serialize import PoseRecord
 from .skeleton import FINGERS, ROOT_INDEX, BoneStats, canonical_skeleton
-from .types import Pose3D, Pose25D
+from .types import Pose3D, Pose25D, _int_pair, _is_int
 
 # palm->mcp, mcp->pip, pip->dip, dip->tip per finger, mm
 DEFAULT_BONE_MM = {
@@ -73,6 +73,10 @@ class SynthConfig:
     bone_stats: BoneStats | None = None
 
     def __post_init__(self):
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _int_pair(self.grid):
+            raise ConfigError(f"grid must be two integers (width, height), got {self.grid!r}")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigError(f"seed must be 0 or more, got {self.seed}")
         bones = canonical_skeleton().num_keypoints - 1
@@ -188,7 +192,7 @@ def _record(cfg: SynthConfig, index: int, xyz: np.ndarray, px: np.ndarray,
         zr_norm=zr,
         side="right",
         camera=cfg.camera,
-        meta={"dataset": "synthetic", "frame": index, "seed": cfg.seed},
+        meta={"dataset": "synthetic", "frame": index, "seed": int(cfg.seed)},
     )
 
 
@@ -272,5 +276,4 @@ def synth_bone_stats(cfg: SynthConfig) -> BoneStats:
     config pins bone_stats, the template means otherwise)."""
     if cfg.bone_stats is not None:
         return cfg.bone_stats
-    lengths = np.concatenate([DEFAULT_BONE_MM[f] for f in FINGERS])
-    return BoneStats(mean_length=np.asarray(lengths))
+    return BoneStats(mean_length=_BONE_TABLE_MM.flatten())

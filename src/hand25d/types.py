@@ -8,6 +8,7 @@ synthetic fixtures stay cheap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,19 @@ def _positive_finite(x) -> bool:
     try:
         return math.isfinite(x) and x > 0
     except (TypeError, OverflowError):
+        return False
+
+
+def _is_int(x) -> bool:
+    """x is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _int_pair(x) -> bool:
+    """x holds two items, each an `_is_int` integer."""
+    try:
+        return len(x) == 2 and all(map(_is_int, x))
+    except TypeError:  # no len()
         return False
 
 

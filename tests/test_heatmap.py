@@ -377,6 +377,8 @@ class TestStackValidation:
          ConfigError, "unknown heatmap kind 'dense'"),
         (lambda: encode_direct(pose_at([[1.0, 2.0]], [0.0]), GRID, exponent="l3"),
          ConfigError, "unknown exponent 'l3'"),
+        (lambda: encode_direct(pose_at([[100.0, 3.0]], [0.0]), GRID, out_of_grid="wrap"),
+         ConfigError, "unknown out_of_grid 'wrap'"),
         (lambda: SpreadParams(beta=np.ones((2, 1))),
          ShapeMismatchError, "beta must be a flat per-keypoint array"),
         (lambda: spatial_softmax(np.zeros((4, 4)), SpreadParams.ones(4)),
@@ -391,9 +393,9 @@ class TestStackValidation:
         (lambda: heatmap.vjp_decode_latent(TestStackValidation.DIRECT, SpreadParams.ones(1),
                                            np.zeros((1, 3))),
          ConfigError, "vjp_decode_latent expects a latent-kind stack"),
-    ], ids=["grid-1x4", "unknown-kind", "unknown-exponent", "beta-2d", "latent-2d",
-            "depth-readout-shape", "vjp-depth-readout-shape", "vjp-softmax-upstream-shape",
-            "vjp-decode-direct-stack"])
+    ], ids=["grid-1x4", "unknown-kind", "unknown-exponent", "unknown-out-of-grid", "beta-2d",
+            "latent-2d", "depth-readout-shape", "vjp-depth-readout-shape",
+            "vjp-softmax-upstream-shape", "vjp-decode-direct-stack"])
     def test_rejected(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()

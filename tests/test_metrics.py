@@ -190,6 +190,20 @@ class TestAuc:
         with pytest.raises(ShapeMismatchError, match="^thresholds and fractions differ in length$"):
             auc([1.0, 2.0, 3.0], [0.5, 1.0])
 
+    @pytest.mark.parametrize("thresholds, message", [
+        ([1.0, 1.0], "thresholds must be strictly increasing"),
+        ([2.0, 1.0], "thresholds must be strictly increasing"),
+        ([0.0, np.nan], "thresholds must be finite"),
+        ([-np.inf, 0.0], "thresholds must be finite"),
+    ], ids=["repeated", "decreasing", "nan", "infinite"])
+    def test_grid_checked_as_pck_curve_checks_it(self, thresholds, message):
+        """A grid pck_curve rejects is rejected with the same message, not
+        divided by zero, scored backwards or returned as NaN."""
+        for call in (lambda: auc(thresholds, [1.0, 1.0]),
+                     lambda: pck_curve(np.array([1.0]), thresholds)):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                call()
+
     def test_permutation_invariant_errors(self):
         rng = np.random.default_rng(5)
         errors = rng.uniform(0, 50, 100)

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,8 @@ SCALAR_CHECKS = {
                          lambda v: "alpha must be positive and finite"),
     "absolute_pose.s_hat": (lambda v: hand25d.absolute_pose(_POSE, v), BadScaleError,
                             lambda v: f"scale must be positive and finite, got {v}"),
+    "absolute_pose.c": (lambda v: hand25d.absolute_pose(_POSE, 2.0, c=v), ConfigError,
+                        lambda v: "normalization constant c must be positive and finite"),
     "pckh_curve.head_length": (lambda v: hand25d.pckh_curve(np.zeros((1, 2)), np.zeros((1, 2)),
                                                             v, [1.0]),
                                BadHeadLengthError, lambda v: f"head length must be positive, got {v}"),
@@ -82,7 +85,74 @@ def test_scalar_arguments_raise_the_library_errors(check, value):
         call(v)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_absolute_pose_rejects_a_non_positive_c(value):
+    """c = 0 would divide by zero and c < 0 would mirror the pose through
+    the camera centre; both are rejected as NormalizationConfig rejects them."""
+    with pytest.raises(ConfigError, match="^normalization constant c must be positive and finite$"):
+        hand25d.absolute_pose(_POSE, 2.0, c=value)
+
+
 @pytest.mark.parametrize("value", [2, np.float64(2.0), np.array(2.0), np.float32(2.0)])
 def test_scalar_arguments_accept_numpy_scalars(value):
     assert hand25d.NormalizationConfig(c=value).c is value
     np.testing.assert_array_equal(hand25d.absolute_pose(_POSE, value).xyz, 2.0)
+    np.testing.assert_array_equal(hand25d.absolute_pose(_POSE, 4.0, c=value).xyz, 2.0)
+
+
+INTEGER_FIELDS = {
+    "pair-three-values": (lambda: hand25d.NormalizationConfig(pair=(5, 0, 1)),
+                          "pair must be two integers (child, parent), got (5, 0, 1)"),
+    "pair-one-int": (lambda: hand25d.NormalizationConfig(pair=5),
+                     "pair must be two integers (child, parent), got 5"),
+    "pair-float-child": (lambda: hand25d.NormalizationConfig(pair=(5.0, 0)),
+                         "pair must be two integers (child, parent), got (5.0, 0)"),
+    "pair-float-parent": (lambda: hand25d.NormalizationConfig(pair=(5, 0.0)),
+                          "pair must be two integers (child, parent), got (5, 0.0)"),
+    "pair-bool": (lambda: hand25d.NormalizationConfig(pair=(True, False)),
+                  "pair must be two integers (child, parent), got (True, False)"),
+    "grid-str-width": (lambda: HeatmapGrid("5", 5), "grid width must be an integer, got '5'"),
+    "grid-float-width": (lambda: HeatmapGrid(4.5, 4), "grid width must be an integer, got 4.5"),
+    "grid-float-height": (lambda: HeatmapGrid(4, 4.0), "grid height must be an integer, got 4.0"),
+    "seed-str": (lambda: hand25d.SynthConfig(seed="3"), "seed must be an integer, got '3'"),
+    "seed-float": (lambda: hand25d.SynthConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    "gradcheck-seeds-bool": (lambda: hand25d.gradcheck("softargmax", seeds=True),
+                             "seeds must be an integer >= 1, got True"),
+    "gradcheck-seeds-float": (lambda: hand25d.gradcheck("softargmax", seeds=1.0),
+                              "seeds must be an integer >= 1, got 1.0"),
+    "synth-grid-one-value": (lambda: hand25d.SynthConfig(grid=(128,)),
+                             "grid must be two integers (width, height), got (128,)"),
+    "synth-grid-float": (lambda: hand25d.SynthConfig(grid=(128.5, 128)),
+                         "grid must be two integers (width, height), got (128.5, 128)"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_FIELDS)
+def test_integer_fields_raise_config_error_naming_the_field(case):
+    """An integer field given a float, a str, a bool or the wrong number of
+    values raises ConfigError when the config is built, not Python's or
+    numpy's error when it is first used."""
+    call, message = INTEGER_FIELDS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integer_fields_accept_numpy_integers():
+    i = np.int64
+    assert hand25d.NormalizationConfig(pair=(i(12), i(11))).pair == (12, 11)
+    assert hand25d.NormalizationConfig(pair=[5, 0]).pair == [5, 0]
+    assert HeatmapGrid(i(5), np.int32(4)).width == 5
+    cfg = hand25d.SynthConfig(seed=i(3), grid=(i(128), 128))
+    seed = hand25d.gen_pose(cfg, 0)[2].meta["seed"]  # written to JSON as a plain int
+    assert type(seed) is int and seed == 3
+
+
+def test_readme_library_tour_runs(capsys):
+    """The Python block of README's "Library tour" runs, and the metric pose
+    it rebuilds from the 2.5D view matches the generated one as its comment
+    says."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("\n## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-9

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import sys
@@ -517,6 +519,32 @@ class TestReportAndCurve:
         assert lines[0] == "threshold,fraction"
         assert lines[1] == "20.0,0.5"
         assert lines[2] == "21.0,0.75"
+
+    @staticmethod
+    def csv_writer_bytes(pck) -> bytes:
+        """The bytes of a curve written through csv.writer, one row of two
+        float reprs per point."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["threshold", "fraction"])
+        for t, f in pck:
+            writer.writerow([repr(float(t)), repr(float(f))])
+        return buf.getvalue().encode("utf-8")
+
+    CURVE_VALUES = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),  # subnormals among them
+        st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 1e22]),
+    )
+
+    @given(pck=st.lists(st.tuples(CURVE_VALUES, CURVE_VALUES), max_size=12))
+    def test_curve_csv_bytes_are_csv_writer_bytes(self, pck):
+        """A row of two float reprs never needs csv quoting, so the plain
+        writer gives csv.writer's bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "c.csv")
+            serialize.write_curve_csv(path, pck)
+            assert path.read_bytes() == self.csv_writer_bytes(pck)
 
 
 class TestFlip:
