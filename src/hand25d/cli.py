@@ -131,31 +131,27 @@ def _stacked(records: list[serialize.PoseRecord], key: str, *shape: int, dtype=n
     return np.array(rows, dtype).reshape(len(rows), *shape)
 
 
-def _rewrite(path, records, rows, redo, emit, soft=(), noun="", verb="") -> int:
-    """Write each record with the views emit(rec, row) to `path`, all after
-    the last one, and return how many failed. row is rows[i], the stage
-    kernel's, or if None redo(rec), the per-pose function, run after the
-    camera check as quietly as the kernel. A `soft` error fails the record:
-    stderr gets a line and it is written all-invalid. Any other library error
-    names the record, keeps its class (so its exit code) and writes nothing."""
+def _rewrite(path, records, views, soft=(), noun="", verb="") -> int:
+    """Write each record with the views that views(i, rec) returns to
+    `path`, all after the last one, and return how many failed. The loop
+    runs with numpy warnings off, so a record whose arithmetic overflows
+    shows only its error. A `soft` error fails the record: stderr gets a
+    line and it is written all-invalid. Any other library error names the
+    record, keeps its class (so its exit code) and writes nothing."""
     out, failures = [], 0
-    for i, (rec, row) in enumerate(zip(records, rows)):
-        valid = rec.valid
-        try:
-            if row is None:
-                if rec.camera is None:
-                    raise DataFormatError("no camera available; pass --camera")
-                with np.errstate(all="ignore"):
-                    row = redo(rec)
-            views = emit(rec, row)
-        except soft as exc:
-            failures += 1
-            print(f"record {i}: {noun} failed: {exc}", file=sys.stderr)
-            valid, views = np.zeros(rec.num_keypoints, dtype=bool), {}
-        except Hand25DError as exc:
-            raise type(exc)(f"record {i}: {exc}") from exc
-        out.append(serialize.PoseRecord(valid, **views, side=rec.side, camera=rec.camera,
-                                        meta=rec.meta))
+    with np.errstate(all="ignore"):
+        for i, rec in enumerate(records):
+            valid = rec.valid
+            try:
+                fields = views(i, rec)
+            except soft as exc:
+                failures += 1
+                print(f"record {i}: {noun} failed: {exc}", file=sys.stderr)
+                valid, fields = np.zeros(rec.num_keypoints, dtype=bool), {}
+            except Hand25DError as exc:
+                raise type(exc)(f"record {i}: {exc}") from exc
+            out.append(serialize.PoseRecord(valid, **fields, side=rec.side, camera=rec.camera,
+                                            meta=rec.meta))
     if failures:
         print(f"{failures}/{len(records)} records failed to {verb}", file=sys.stderr)
     serialize.write_pose_records(path, out)
@@ -169,12 +165,16 @@ def _cmd_normalize(args) -> int:
     px, zr, ok = _to_25d_rows(
         _stacked(records, "xyz_mm", 3), _stacked(records, "valid", dtype=bool),
         _camera_columns([rec.camera for rec in records]), cfg)
-    rows = [(px[i], zr[i]) if ok[i] and rec.camera is not None and rec.xyz_mm is not None
-            else None for i, rec in enumerate(records)]
-    _rewrite(args.out, records, rows,
-             lambda rec: ((p25 := to_25d(rec.pose3d(), rec.camera, cfg)).xy, p25.zr),
-             lambda rec, row: {"px": row[0], "zr_norm": row[1]},
-             NoValidKeypointsError, "normalization", "normalize")
+
+    def views(i, rec):  # the kernel's row; where it fails, to_25d raises the record's error
+        if rec.camera is None:
+            raise DataFormatError("no camera available; pass --camera")
+        if ok[i] and rec.xyz_mm is not None:
+            return {"px": px[i], "zr_norm": zr[i]}
+        p25 = to_25d(rec.pose3d(), rec.camera, cfg)
+        return {"px": p25.xy, "zr_norm": p25.zr}
+
+    _rewrite(args.out, records, views, NoValidKeypointsError, "normalization", "normalize")
     return 0
 
 
@@ -188,25 +188,24 @@ def _cmd_reconstruct(args) -> int:
         _stacked(records, "px", 2), _stacked(records, "zr_norm"),
         _stacked(records, "valid", dtype=bool),
         _camera_columns([rec.camera for rec in records]), cfg)
-    rows = [xyz[i] if ok[i] and rec.camera is not None and rec.px is not None
-            and rec.zr_norm is not None else None for i, rec in enumerate(records)]
 
-    def redo(rec):
-        if not rec.valid.any():  # e.g. a record normalize failed, which has no views
+    def views(i, rec):  # as in normalize, with reconstruct_pose
+        if rec.camera is None:
+            raise DataFormatError("no camera available; pass --camera")
+        if ok[i] and rec.px is not None and rec.zr_norm is not None:
+            pose = Pose3D(xyz[i], rec.valid)
+        elif not rec.valid.any():  # e.g. a record normalize failed, which has no views
             raise NoValidKeypointsError("record has no valid keypoint")
-        return reconstruct_pose(rec.pose25d(), rec.camera, cfg).xyz
-
-    def emit(rec, row):
-        pose = Pose3D(row, rec.valid)
+        else:
+            pose = reconstruct_pose(rec.pose25d(), rec.camera, cfg)
         if stats is not None:
             # recover_scale returns mm per normalized unit; absolute_pose
             # expects the metric pair-bone length, i.e. c times that
             pose = absolute_pose(pose, cfg.c * recover_scale(pose, stats, skel), cfg.c)
         return {"xyz_mm": pose.xyz}
 
-    failures = _rewrite(args.out, records, rows, redo, emit,
-                        (*NUMERICAL_ERRORS, NoValidKeypointsError), "reconstruction",
-                        "reconstruct")
+    failures = _rewrite(args.out, records, views, (*NUMERICAL_ERRORS, NoValidKeypointsError),
+                        "reconstruction", "reconstruct")
     return 4 if failures and args.strict else 0
 
 
@@ -305,17 +304,16 @@ def _cmd_shorten_tips(args) -> int:
     if not 0.0 < args.factor <= 1.0:  # the flag's error, not record 0's
         raise ConfigError(f"shortening factor must be in (0, 1], got {args.factor}")
 
-    def emit(rec, i):  # no kernel: a record's row is its index
+    def shorten(i, rec):
         if rec.xyz_mm is None:
             raise DataFormatError("shorten-tips needs xyz_mm")
         pose = shorten_fingertips(rec.pose3d(), args.factor, skel)
         views = {"px": rec.px, "xyz_mm": pose.xyz, "zr_norm": rec.zr_norm}
         if rec.camera is not None:
-            with np.errstate(all="ignore"):  # as quiet as the other stages' per-pose re-run
-                if rec.px is not None:
-                    views["px"] = project(pose, rec.camera)[0].xy
-                if rec.zr_norm is not None:
-                    views["zr_norm"] = to_25d(pose, rec.camera, cfg).zr
+            if rec.px is not None:
+                views["px"] = project(pose, rec.camera)[0].xy
+            if rec.zr_norm is not None:
+                views["zr_norm"] = to_25d(pose, rec.camera, cfg).zr
         elif rec.px is not None or rec.zr_norm is not None:
             print(
                 f"record {i}: no camera; px/zr_norm left unchanged and may now be inconsistent",
@@ -323,7 +321,7 @@ def _cmd_shorten_tips(args) -> int:
             )
         return views
 
-    _rewrite(args.out, records, range(len(records)), None, emit)
+    _rewrite(args.out, records, shorten)
     return 0
 
 

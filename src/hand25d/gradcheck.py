@@ -1,15 +1,15 @@
 """Central-difference verification of the analytic VJPs.
 
 One table gives, per target, its inputs drawn from a seeded random
-problem, the shape of an upstream cotangent, the public forward
-function, a batched forward over the library's batched kernels and the
-VJP. The driver checks each target the same way: the scalar
-sum(upstream * forward(*inputs)) has gradient vjp(upstream, *inputs),
-and central differences of that scalar are compared entrywise. The
-differences run every +eps and -eps copy of one input through the
-batched forward at once, after checking once per seed that it gives the
-public forward's bits at the unperturbed inputs; if it does not, every
-input gets an infinite error.
+problem, the public forward function, a batched forward over the
+library's batched kernels and the VJP; an upstream cotangent takes the
+batched forward's output shape. The driver checks each target the same
+way: the scalar sum(upstream * forward(*inputs)) has gradient
+vjp(upstream, *inputs), and central differences of that scalar are
+compared entrywise. The differences run every +eps and -eps copy of one
+input through the batched forward at once, after checking once per seed
+that it gives the public forward's bits at the unperturbed inputs; if it
+does not, every input gets an infinite error.
 
 Error measure: |analytic - fd| / max(|analytic|, |fd|, 1e-6). The floor
 keeps accidental near-zero gradient entries (where central differences
@@ -48,8 +48,6 @@ from .heatmap import (
     vjp_spatial_softmax,
 )
 from .types import _is_int, _positive_finite
-
-TARGETS = ("spatial_softmax", "softargmax", "depth_readout", "decode_latent")
 
 REL_ERR_FLOOR = 1e-6
 FD_BREAKDOWN_EPS = 1e-8
@@ -139,7 +137,6 @@ def _decode_xyz_batched(likelihood, depth, beta) -> np.ndarray:
 
 
 # target -> (inputs: the seeded (latent, depth, beta) problem -> {name: array},
-#            upstream: shape of the output cotangent,
 #            forward(*inputs) -> output,
 #            batched(*inputs) -> output, where any input may carry extra
 #                leading dims that broadcast into the output's leading dims,
@@ -151,14 +148,12 @@ def _decode_xyz_batched(likelihood, depth, beta) -> np.ndarray:
 _TABLE = {
     "spatial_softmax": (
         lambda latent, depth, beta: {"latent": latent, "beta": beta},
-        (_K, _H, _W),
         lambda latent, beta: spatial_softmax(latent, SpreadParams(beta=beta)),
         _softmax,
         lambda g, latent, beta: vjp_spatial_softmax(latent, SpreadParams(beta=beta), g),
     ),
     "softargmax": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta)},
-        (2,),
         lambda prob: softargmax(prob),
         # a (..., 1, W) @ (W,) product per map gives the bits of the public
         # (W,) @ (W,) dot; folding the batch into one (B, W) matrix does not
@@ -170,14 +165,12 @@ _TABLE = {
     ),
     "depth_readout": (
         lambda latent, depth, beta: {"prob": _first_prob(latent, beta), "depth": depth[0]},
-        (),
         lambda prob, dmap: depth_readout(prob, dmap),
         lambda prob, dmap: (prob * dmap).sum(axis=(-2, -1)),
         lambda g, prob, dmap: vjp_depth_readout(prob, dmap, g),
     ),
     "decode_latent": (
         lambda latent, depth, beta: {"likelihood": latent, "depth": depth, "beta": beta},
-        (_K, 3),
         _decode_xyz,
         _decode_xyz_batched,
         lambda g, like, depth, beta: vjp_decode_latent(
@@ -185,6 +178,7 @@ _TABLE = {
         ),
     ),
 }
+TARGETS = tuple(_TABLE)
 
 
 def gradcheck(
@@ -199,7 +193,7 @@ def gradcheck(
     for name, value in (("eps", eps), ("tol", tol)):
         if not _positive_finite(value):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-    inputs_of, upstream_shape, forward, batched, vjp = _TABLE[target]
+    inputs_of, forward, batched, vjp = _TABLE[target]
     max_err = 0.0
     worst = None
     per_input: dict[str, float] = {}
@@ -209,11 +203,11 @@ def gradcheck(
         depth = rng.uniform(-1.0, 1.0, (_K, _H, _W))
         beta = rng.uniform(0.5, 2.0, _K)
         inputs = inputs_of(latent, depth, beta)
-        upstream = rng.normal(size=upstream_shape)
         arrays = list(inputs.values())
+        batched_out = batched(*arrays)
+        upstream = rng.normal(size=batched_out.shape)
         analytic = vjp(upstream, *arrays)
         public_out = np.asarray(forward(*arrays), dtype=np.float64)
-        batched_out = batched(*arrays)
         if public_out.shape == batched_out.shape and public_out.tobytes() == batched_out.tobytes():
             fd = _fd_gradient(batched, upstream, arrays, eps)
         else:  # the public forward is not what the batched kernels compute

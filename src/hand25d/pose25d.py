@@ -39,6 +39,7 @@ class NormalizationConfig:
         parent = canonical_skeleton().parent
         if not (0 < n < len(parent) and parent[n] == m):
             raise ConfigError(f"pair {self.pair} is not a (child, parent) bone of the hand tree")
+        object.__setattr__(self, "pair", (int(n), int(m)))  # hashable, and equal to the default
 
 
 def normalization_scale(pose: Pose3D, cfg: NormalizationConfig = NormalizationConfig()) -> float:

@@ -256,8 +256,8 @@ def record_from_dict(obj: dict) -> PoseRecord:
 
 def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
     """One JSONL line per record, written as it is made. A record holding NaN
-    or infinity raises DataFormatError naming its index; the lines before it
-    stay written."""
+    or infinity, or a meta value JSON has no type for, raises DataFormatError
+    naming its index; the lines before it stay written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, rec in enumerate(records):
             obj = record_to_dict(rec)
@@ -266,6 +266,8 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
             except ValueError:  # the encoder's error for NaN and infinity
                 raise DataFormatError(f"record {i}: values must be finite; "
                                       "JSON has no NaN or infinity") from None
+            except TypeError as exc:  # the encoder's error for e.g. a numpy scalar in meta
+                raise DataFormatError(f"record {i}: {exc}") from None
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:

@@ -192,13 +192,15 @@ def _record(cfg: SynthConfig, index: int, xyz: np.ndarray, px: np.ndarray,
         zr_norm=zr,
         side="right",
         camera=cfg.camera,
-        meta={"dataset": "synthetic", "frame": index, "seed": int(cfg.seed)},
+        meta={"dataset": "synthetic", "frame": int(index), "seed": int(cfg.seed)},
     )
 
 
 def gen_pose(cfg: SynthConfig, index: int) -> tuple[Pose3D, Pose25D, PoseRecord]:
     """Deterministic synthetic sample: metric pose, its 2.5D view, and the
     serializable record."""
+    if not (_is_int(index) and index >= 0):
+        raise ConfigError(f"index must be an integer >= 0, got {index!r}")
     rng = np.random.default_rng([cfg.seed, index])
     zmin, zmax = _DEPTH_RANGE_MM
     u_lim_x, u_lim_y = _image_limits(cfg)

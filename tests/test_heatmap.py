@@ -420,8 +420,8 @@ class TestBatchedKernels:
         like = scale * rng.normal(size=(b, k, h, w))
         depth = rng.normal(size=(b, k, h, w))
         beta = rng.uniform(0.1, 5.0, (b, k))
-        soft_xy = gradcheck_module._TABLE["softargmax"][3]
-        readout = gradcheck_module._TABLE["depth_readout"][3]
+        soft_xy = gradcheck_module._TABLE["softargmax"][2]
+        readout = gradcheck_module._TABLE["depth_readout"][2]
         prob = heatmap._softmax(like, beta)
         x, y, zr = heatmap._decode(prob, depth)
         xy = soft_xy(prob)

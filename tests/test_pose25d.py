@@ -37,6 +37,15 @@ class TestNormalizationConfig:
         with pytest.raises(ConfigError):
             NormalizationConfig(c=0.0)
 
+    @pytest.mark.parametrize("pair", [[5, 0], (np.int64(5), np.int32(0)), [np.int8(5), 0]],
+                             ids=["list", "numpy-ints", "list-of-numpy-ints"])
+    def test_pair_is_stored_as_a_tuple_of_ints(self, pair):
+        """Any two integers give the config that (5, 0) gives: equal, with an
+        equal hash, and holding Python ints."""
+        cfg = NormalizationConfig(pair=pair)
+        assert cfg == NormalizationConfig() and hash(cfg) == hash(NormalizationConfig())
+        assert cfg.pair == (5, 0) and all(type(v) is int for v in cfg.pair)
+
 
 class TestNormalizationScale:
     def test_three_four_five(self):

@@ -140,7 +140,7 @@ def test_integer_fields_raise_config_error_naming_the_field(case):
 def test_integer_fields_accept_numpy_integers():
     i = np.int64
     assert hand25d.NormalizationConfig(pair=(i(12), i(11))).pair == (12, 11)
-    assert hand25d.NormalizationConfig(pair=[5, 0]).pair == [5, 0]
+    assert hand25d.NormalizationConfig(pair=[5, 0]).pair == (5, 0)
     assert HeatmapGrid(i(5), np.int32(4)).width == 5
     cfg = hand25d.SynthConfig(seed=i(3), grid=(i(128), 128))
     seed = hand25d.gen_pose(cfg, 0)[2].meta["seed"]  # written to JSON as a plain int

@@ -62,6 +62,22 @@ class TestPoseRecordJsonl:
         with pytest.raises(DataFormatError):
             serialize.read_pose_records(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"t": np.float32(1.5)}, "Object of type float32 is not JSON serializable"),
+        ({"frame": np.int64(0)}, "Object of type int64 is not JSON serializable"),
+        ({(1, 2): "pair"}, "keys must be str, int, float, bool or None, not tuple"),
+    ], ids=["numpy-float", "numpy-int", "tuple-key"])
+    def test_meta_json_cannot_hold_names_its_record(self, tmp_path, meta, message):
+        """The writer raises DataFormatError, not the encoder's TypeError, and
+        the lines before the record stay written."""
+        records = synth_records(3)
+        records[1].meta = meta
+        path = tmp_path / "meta.jsonl"
+        with pytest.raises(DataFormatError, match=f"^record 1: {re.escape(message)}$"):
+            serialize.write_pose_records(path, records)
+        first = serialize._dumps(serialize.record_to_dict(records[0]))
+        assert path.read_text().splitlines() == [first]
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         kps = ",".join(f'{{"id":0,"name":"x","valid":false}}' for _ in range(21))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,21 @@ class TestConfigValidation:
     def test_negative_seed(self, seed):
         with pytest.raises(ConfigError, match=f"seed must be 0 or more, got {seed}"):
             SynthConfig(seed=seed)
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True, "2", None, np.float64(0.0)],
+                             ids=["negative", "float", "bool", "str", "None", "numpy-float"])
+    def test_index_must_be_an_integer_of_0_or_more(self, index):
+        message = f"index must be an integer >= 0, got {index!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            gen_pose(SynthConfig(seed=3), index)
+
+    @pytest.mark.parametrize("index", [np.int64(4), np.uint8(4), np.int32(4)],
+                             ids=["int64", "uint8", "int32"])
+    def test_numpy_index_gives_the_record_of_its_int(self, index):
+        """The record's meta holds a Python int, so it writes as JSON."""
+        rec = gen_pose(SynthConfig(seed=3), index)[2]
+        assert type(rec.meta["frame"]) is int
+        assert record_to_dict(rec) == record_to_dict(gen_pose(SynthConfig(seed=3), 4)[2])
 
     def test_default_camera(self):
         assert SynthConfig().camera == DEFAULT_CAMERA
