@@ -799,8 +799,9 @@ class TestExitCodes:
          {19: [1e308, 1e308, 500.0], 20: [-1e308, -1e308, 500.0]},
          "values must be finite; JSON has no NaN or infinity"),
     ], ids=["reconstruct-scale-overflows", "shorten-tips-tip-bone-overflows"])
-    def test_per_record_work_after_the_kernel_warns_nothing(self, workdir, capsys, stage,
-                                                            record, view, changes, message):
+    def test_per_record_work_after_the_kernel_warns_nothing(self, workdir, capsys, monkeypatch,
+                                                            stage, record, view, changes,
+                                                            message):
         """Under warnings as errors, a record that overflows outside the
         stage kernels still ends the stage with its error line and exit 3:
         the zr of 1e160 gives a finite kernel row whose bone lengths overflow
@@ -813,9 +814,8 @@ class TestExitCodes:
         records[record] = dataclasses.replace(records[record], **{view: changed})
         serialize.write_pose_records(workdir / "big.jsonl", records)
         capsys.readouterr()
-        args = [a if a != "stats.json" else str(workdir / a) for a in stage]
-        assert main([*args, "--in", str(workdir / "big.jsonl"),
-                     "--out", str(workdir / "out.jsonl")]) == 3
+        monkeypatch.chdir(workdir)
+        assert main([*stage, "--in", "big.jsonl", "--out", "out.jsonl"]) == 3
         assert capsys.readouterr().err.splitlines() == [f"error: record {record}: {message}"]
 
     def test_eval_of_an_all_failed_reconstruction_is_3(self, workdir, capsys):
