@@ -23,7 +23,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .skeleton import ROOT_INDEX
-from .types import Pose3D, _positive_finite
+from .types import Pose3D, _is_int, _positive_finite
 
 PROTOCOLS = ("root_aligned", "absolute_with_scale")
 
@@ -154,6 +154,8 @@ def evaluate(
         raise ConfigError(f"unknown protocol {protocol!r}")
     if space not in ("2d", "3d"):
         raise ConfigError(f"unknown space {space!r}")
+    if not (_is_int(num_failed) and num_failed >= 0):
+        raise ConfigError(f"num_failed must be an integer >= 0, got {num_failed!r}")
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS_3D_MM if space == "3d" else DEFAULT_THRESHOLDS_2D_PX
     try:
@@ -184,5 +186,5 @@ def evaluate(
         pck=tuple((float(t), float(f)) for t, f in zip(thr, fractions)),
         auc=auc(thr, fractions),
         num_samples=len(pred_points),
-        num_failed=num_failed,
+        num_failed=int(num_failed),
     )

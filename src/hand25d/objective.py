@@ -26,6 +26,7 @@ class LossConfig:
     def __post_init__(self):
         if not _positive_finite(self.alpha):
             raise ConfigError("alpha must be positive and finite")
+        object.__setattr__(self, "alpha", float(self.alpha))  # hashable, and no float32 in the loss
 
 
 @dataclass(frozen=True)

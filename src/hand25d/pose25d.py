@@ -33,6 +33,7 @@ class NormalizationConfig:
     def __post_init__(self):
         if not _positive_finite(self.c):
             raise ConfigError("normalization constant c must be positive and finite")
+        object.__setattr__(self, "c", float(self.c))  # hashable, and no float32 in the results
         if not _int_pair(self.pair):
             raise ConfigError(f"pair must be two integers (child, parent), got {self.pair!r}")
         n, m = self.pair

@@ -66,22 +66,16 @@ def quadratic_coefficients(
     return QuadraticCoeffs(*_coefficients(*pn, *pm, zn, zm, c))
 
 
-def _square(v):
-    """v ** 2 with libm pow's bits, as a numpy scalar's ** 2 gives them, for a
-    scalar or a 1-D array. An array's ** 2 is the exact square, which differs
-    in the last bit on about 0.1% of inputs; a Python float's raises OverflowError."""
-    if isinstance(v, np.ndarray):
-        return np.array([t ** 2 for t in v], dtype=np.float64)
-    return np.float64(v) ** 2
-
-
 def _coefficients(xn, yn, xm, ym, zn, zm, c):
-    """(a, b, c_) of the root-depth quadratic, for scalars or (N,) arrays."""
-    a = _square(xn - xm) + _square(yn - ym)
+    """(a, b, c_) of the root-depth quadratic, for scalars or (N,) arrays.
+    Every square is a product, which rounds alike for all of them."""
+    dx, dy, dz = xn - xm, yn - ym, zn - zm
+    ex, ey = xn * zn - xm * zm, yn * zn - ym * zm
+    a = dx * dx + dy * dy
     b = zn * (xn * xn + yn * yn - xn * xm - yn * ym) + zm * (
         xm * xm + ym * ym - xn * xm - yn * ym
     )
-    cc = _square(xn * zn - xm * zm) + _square(yn * zn - ym * zm) + _square(zn - zm) - c * c
+    cc = ex * ex + ey * ey + dz * dz - c * c
     return a, b, cc
 
 

@@ -446,7 +446,12 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(path: str | Path, report: EvalReport) -> None:
-    Path(path).write_text(_dumps(report_to_dict(report)) + "\n", encoding="utf-8")
+    """One JSON line; a value JSON cannot hold raises DataFormatError and writes nothing."""
+    try:
+        text = _dumps(report_to_dict(report))
+    except (TypeError, ValueError) as exc:  # the encoder's errors, as in write_pose_records
+        raise DataFormatError(f"report: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_report_json(path: str | Path) -> EvalReport:

@@ -82,6 +82,8 @@ class SynthConfig:
         bones = canonical_skeleton().num_keypoints - 1
         if self.bone_stats is not None and self.bone_stats.mean_length.shape[0] != bones:
             raise ConfigError(f"bone_stats must give {bones} lengths")
+        object.__setattr__(self, "seed", int(self.seed))  # JSON-writable in meta
+        object.__setattr__(self, "grid", tuple(map(int, self.grid)))  # hashable, equal to the default
 
 
 def _rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
@@ -192,7 +194,7 @@ def _record(cfg: SynthConfig, index: int, xyz: np.ndarray, px: np.ndarray,
         zr_norm=zr,
         side="right",
         camera=cfg.camera,
-        meta={"dataset": "synthetic", "frame": int(index), "seed": int(cfg.seed)},
+        meta={"dataset": "synthetic", "frame": int(index), "seed": cfg.seed},
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -262,6 +263,21 @@ class TestEvaluate:
     def test_unknown_space(self):
         with pytest.raises(ConfigError, match="^unknown space '4d'$"):
             evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "root_aligned", "4d")
+
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "2", None])
+    def test_num_failed_must_be_a_count(self, value):
+        """A count that is negative, fractional, a bool or not a number is
+        rejected before it reaches the report, where the JSON reader would
+        refuse it or the writer could not write it."""
+        message = f"^num_failed must be an integer >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "root_aligned", "3d",
+                     num_failed=value)
+
+    def test_num_failed_is_stored_as_a_python_int(self):
+        report = evaluate([np.zeros((1, 3))], [np.zeros((1, 3))], [None], "root_aligned", "3d",
+                          num_failed=np.int64(2))
+        assert report.num_failed == 2 and type(report.num_failed) is int
 
     def test_mask_count_must_match_corpus(self):
         pts = [np.zeros((21, 3)), np.ones((21, 3))]

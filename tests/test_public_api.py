@@ -95,7 +95,8 @@ def test_absolute_pose_rejects_a_non_positive_c(value):
 
 @pytest.mark.parametrize("value", [2, np.float64(2.0), np.array(2.0), np.float32(2.0)])
 def test_scalar_arguments_accept_numpy_scalars(value):
-    assert hand25d.NormalizationConfig(c=value).c is value
+    c = hand25d.NormalizationConfig(c=value).c
+    assert c == 2.0 and type(c) is float
     np.testing.assert_array_equal(hand25d.absolute_pose(_POSE, value).xyz, 2.0)
     np.testing.assert_array_equal(hand25d.absolute_pose(_POSE, 4.0, c=value).xyz, 2.0)
 
@@ -145,6 +146,39 @@ def test_integer_fields_accept_numpy_integers():
     cfg = hand25d.SynthConfig(seed=i(3), grid=(i(128), 128))
     seed = hand25d.gen_pose(cfg, 0)[2].meta["seed"]  # written to JSON as a plain int
     assert type(seed) is int and seed == 3
+
+
+@pytest.mark.parametrize("make, plain", [
+    (lambda: hand25d.SynthConfig(grid=[128, 128]), hand25d.SynthConfig()),
+    (lambda: hand25d.SynthConfig(seed=np.int64(3), grid=(np.int32(64), np.int64(96))),
+     hand25d.SynthConfig(seed=3, grid=(64, 96))),
+    (lambda: hand25d.NormalizationConfig(c=np.array(2.0)), hand25d.NormalizationConfig(c=2.0)),
+    (lambda: hand25d.NormalizationConfig(c=np.float32(2.0)), hand25d.NormalizationConfig(c=2.0)),
+    (lambda: hand25d.NormalizationConfig(c=2), hand25d.NormalizationConfig(c=2.0)),
+    (lambda: hand25d.LossConfig(alpha=np.array(20.0)), hand25d.LossConfig()),
+    (lambda: hand25d.LossConfig(alpha=np.float32(20.0)), hand25d.LossConfig()),
+], ids=["grid-list", "numpy-ints", "c-0d-array", "c-float32", "c-int", "alpha-0d-array",
+        "alpha-float32"])
+def test_configs_store_plain_python_numbers(make, plain):
+    """A config built from a list, numpy integers or a numpy float stores
+    Python ints and floats: it equals, hashes and prints as the plain one."""
+    cfg = make()
+    assert cfg == plain and hash(cfg) == hash(plain) and repr(cfg) == repr(plain)
+
+
+def test_float32_settings_compute_in_float64():
+    """A float32 c or alpha gives the bits of the Python float, not float32
+    arithmetic through numpy's promotion rules."""
+    pose, p25, _ = hand25d.gen_pose(hand25d.SynthConfig(seed=3), 0)
+    cam = hand25d.SynthConfig().camera
+    zr = [hand25d.to_25d(pose, cam, hand25d.NormalizationConfig(c=c)).zr
+          for c in (np.float32(2.0), 2.0)]
+    assert zr[0].tobytes() == zr[1].tobytes()
+    pred = hand25d.Pose25D(p25.xy + 0.5, p25.zr + 0.01)
+    ann = hand25d.SampleAnnotations(hand25d.Pose2D(p25.xy), gt_zr=p25.zr)
+    losses = [hand25d.pose_loss(pred, ann, hand25d.LossConfig(alpha=a))
+              for a in (np.float32(20.0), 20.0)]
+    assert losses[0] == losses[1] and type(losses[0][0]) is float
 
 
 def test_readme_library_tour_runs(capsys):

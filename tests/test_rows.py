@@ -23,7 +23,6 @@ from hand25d.errors import (
 from hand25d.pose25d import NormalizationConfig, _to_25d_rows, to_25d
 from hand25d.reconstruct import (
     _reconstruct_rows,
-    _square,
     quadratic_coefficients,
     reconstruct_pose,
 )
@@ -178,19 +177,20 @@ class TestReconstructRows:
 class TestScalarSquares:
     WITNESS = 0.08721295894391941
 
-    def test_pow_witness(self):
-        """_square gives libm's pow, as a numpy scalar's ** 2 does, for
-        scalars and arrays alike; an array's ** 2 is the exact square, and
-        the two differ here."""
+    def test_squares_are_products(self):
+        """Each square of the quadratic is a product, the correctly rounded
+        square, for a Python float and a numpy scalar alike; libm's pow,
+        which a numpy scalar's ** 2 calls, is one bit off on the witness."""
         x = self.WITNESS
-        assert np.float64(x) ** 2 == 0.007606100207753772 == math.pow(x, 2)
-        assert x * x == 0.007606100207753773 == (np.array([x]) ** 2)[0]
-        assert _square(x) == _square(np.float64(-x)) == math.pow(x, 2)
-        assert _square(np.array([x, -x])).tolist() == [math.pow(x, 2)] * 2
+        assert x * x == 0.007606100207753773 != math.pow(x, 2)
+        for v in (x, np.float64(x), -x):
+            assert quadratic_coefficients((v, 0.0), (0.0, 0.0), 0.01, 0.0).a == x * x
+        q = quadratic_coefficients((x, 0.0), (0.0, 0.0), 0.01, 0.0)
+        assert type(q.a) is type(q.b) is type(q.c) is float
 
     def test_kernel_keeps_the_scalar_bits(self):
         """With K = identity the pair's ray difference is the witness itself,
-        so `a` and the lifted pose carry its libm square."""
+        so `a` and the lifted pose carry its square on both paths."""
         x = self.WITNESS
         px = np.zeros((1, 21, 2))
         px[0, 5, 0] = x
@@ -198,11 +198,18 @@ class TestScalarSquares:
         zr[0, 5] = 0.01
         valid = np.ones((1, 21), dtype=bool)
         q = quadratic_coefficients((x, 0.0), (0.0, 0.0), 0.01, 0.0)
-        assert q.a == np.float64(x) ** 2 != x * x
+        assert q.a == x * x
         cam = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
         xyz, ok = _reconstruct_rows(px, zr, valid, _columns([cam]))
         assert ok.tolist() == [True]
         assert _same_bits(xyz[0], reconstruct_pose(Pose25D(px[0], zr[0]), cam).xyz)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_non_finite_error(self):
+        """A square beyond float64 is inf, which the coefficients reject,
+        without a numpy warning on the way."""
+        with pytest.raises(NonFiniteError, match="^quadratic coefficients must be finite$"):
+            quadratic_coefficients((1e200, 0.0), (0.0, 0.0), 0.0, 0.0)
 
 
 def _stacked_coords(xy, cam):

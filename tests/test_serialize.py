@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -513,6 +514,24 @@ class TestReportAndCurve:
         serialize.write_report_json(first, report)
         serialize.write_report_json(second, serialize.read_report_json(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_report_with_numpy_count_round_trips(self, tmp_path):
+        rng = np.random.default_rng(1)
+        pts = [rng.normal(size=(21, 3)) for _ in range(4)]
+        report = evaluate(pts, pts, [None] * 4, "absolute_with_scale", "3d", num_failed=np.int64(2))
+        serialize.write_report_json(tmp_path / "r.json", report)
+        assert serialize.read_report_json(tmp_path / "r.json") == report
+
+    @pytest.mark.parametrize("change, cause", [
+        ({"num_failed": np.int64(2)}, "Object of type int64 is not JSON serializable"),
+        ({"auc": float("nan")}, "Out of range float values are not JSON compliant"),
+    ], ids=["numpy-count", "nan-auc"])
+    def test_unwritable_report(self, tmp_path, change, cause):
+        """The encoder's errors become the library's, and no file is written."""
+        path = tmp_path / "r.json"
+        with pytest.raises(DataFormatError, match=f"^report: {re.escape(cause)}"):
+            serialize.write_report_json(path, dataclasses.replace(self.report(), **change))
+        assert not path.exists()
 
     @pytest.mark.parametrize("change, cause", [
         ({"auc": None}, "'auc'"),
