@@ -6,7 +6,6 @@ everywhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from .types import Pose2D, Pose3D, _as_array
+from .types import Pose2D, Pose3D, _as_array, _finite_real
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,13 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         vals = (self.fx, self.fy, self.cx, self.cy, self.skew)
-        if not all(math.isfinite(v) for v in vals):  # np.isfinite costs ~1 us per scalar
+        if not all(map(_finite_real, vals)):
             raise NonFiniteError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError("focal lengths must be positive")
+        for name, v in zip(("fx", "fy", "cx", "cy", "skew"), vals):
+            if type(v) is not float:  # every JSON reader's camera; re-storing costs ~0.2 µs a field
+                object.__setattr__(self, name, float(v))
 
 
 def project(pose: Pose3D, cam: CameraIntrinsics) -> tuple[Pose2D, np.ndarray]:

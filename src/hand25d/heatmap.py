@@ -105,6 +105,8 @@ class SpreadParams:
 
     @classmethod
     def ones(cls, k: int) -> "SpreadParams":
+        if not (_is_int(k) and k >= 1):
+            raise ConfigError(f"k must be an integer >= 1, got {k!r}")
         return cls(beta=np.ones(k))
 
 

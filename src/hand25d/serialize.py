@@ -24,7 +24,7 @@ from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeMismatchE
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
 from .skeleton import BoneStats, canonical_skeleton
-from .types import Pose3D, Pose25D, _as_array
+from .types import Pose3D, Pose25D, _Keypoints, _as_array, _shaped
 
 SCHEMA_VERSION = 1
 H25D_MAGIC = b"H25D"
@@ -97,7 +97,7 @@ def _side(side) -> str:
 
 
 @dataclass
-class PoseRecord:
+class PoseRecord(_Keypoints):
     """One sample: whichever of pixel / metric / normalized-depth views
     exist, plus validity, optional camera and free-form metadata."""
 
@@ -115,17 +115,9 @@ class PoseRecord:
             raise ShapeMismatchError(f"validity mask shape {self.valid.shape} is not (K,)")
         k = self.valid.shape[0]
         for key, width, _ in _VIEWS:
-            if getattr(self, key) is not None:
-                arr = _as_array(getattr(self, key), np.float64, key)
-                shape = (k, width) if width else (k,)
-                if arr.shape != shape:
-                    raise ShapeMismatchError(f"{key} shape {arr.shape} != {shape}")
-                setattr(self, key, arr)
+            if (value := getattr(self, key)) is not None:
+                setattr(self, key, _shaped(value, np.float64, key, (k, width) if width else (k,)))
         _side(self.side)
-
-    @property
-    def num_keypoints(self) -> int:
-        return self.valid.shape[0]
 
     def pose3d(self) -> Pose3D:
         if self.xyz_mm is None:

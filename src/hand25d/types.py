@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 
 
 def _as_array(value, dtype, what: str) -> np.ndarray:
@@ -26,14 +26,19 @@ def _as_array(value, dtype, what: str) -> np.ndarray:
         raise ShapeMismatchError(f"{what} cannot be read as a {np.dtype(dtype)} array: {exc}") from exc
 
 
-def _positive_finite(x) -> bool:
-    """x is one real number, finite and > 0. A str, None, a complex number or
-    an array that is not 0-d is not one: False, where np.isfinite raises
+def _finite_real(x) -> bool:
+    """x is one real number and finite. A str, None, a complex number or an
+    array that is not 0-d is not one: False, where np.isfinite raises
     TypeError or gives an array. math.isfinite takes 0.1 µs, np.isfinite ~1."""
     try:
-        return math.isfinite(x) and x > 0
+        return math.isfinite(x)
     except (TypeError, OverflowError):
         return False
+
+
+def _positive_finite(x) -> bool:
+    """x is one `_finite_real` number > 0."""
+    return _finite_real(x) and x > 0
 
 
 def _is_int(x) -> bool:
@@ -56,17 +61,28 @@ def _as_points(a, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _shaped(value, dtype, what: str, shape: tuple) -> np.ndarray:
+    """`_as_array`, raising ShapeMismatchError unless the array has `shape`."""
+    arr = _as_array(value, dtype, what)
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"{what} shape {arr.shape} != {shape}")
+    return arr
+
+
 def _as_mask(valid, k: int) -> np.ndarray:
-    if valid is None:
-        return np.ones(k, dtype=bool)
-    mask = _as_array(valid, bool, "validity mask")
-    if mask.shape != (k,):
-        raise ShapeMismatchError(f"validity mask shape {mask.shape} != ({k},)")
-    return mask
+    return np.ones(k, dtype=bool) if valid is None else _shaped(valid, bool, "validity mask", (k,))
+
+
+class _Keypoints:
+    """Base of the containers of K keypoints, whose `valid` mask is (K,)."""
+
+    @property
+    def num_keypoints(self) -> int:
+        return self.valid.shape[0]
 
 
 @dataclass(frozen=True)
-class Pose3D:
+class Pose3D(_Keypoints):
     """Keypoints (X, Y, Z) in the camera frame, millimeters (or normalized units)."""
 
     xyz: np.ndarray
@@ -77,13 +93,9 @@ class Pose3D:
         object.__setattr__(self, "xyz", xyz)
         object.__setattr__(self, "valid", _as_mask(self.valid, xyz.shape[0]))
 
-    @property
-    def num_keypoints(self) -> int:
-        return self.xyz.shape[0]
-
 
 @dataclass(frozen=True)
-class Pose2D:
+class Pose2D(_Keypoints):
     """Keypoints (x, y) in image pixels."""
 
     xy: np.ndarray
@@ -94,13 +106,9 @@ class Pose2D:
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "valid", _as_mask(self.valid, xy.shape[0]))
 
-    @property
-    def num_keypoints(self) -> int:
-        return self.xy.shape[0]
-
 
 @dataclass(frozen=True)
-class Pose25D:
+class Pose25D(_Keypoints):
     """Per-keypoint (x px, y px, zr) where zr is the scale-normalized depth
     relative to the root keypoint. zr at the root is 0 for exact
     representations built from a 3D pose; decoded predictions only
@@ -114,15 +122,14 @@ class Pose25D:
 
     def __post_init__(self):
         xy = _as_points(self.xy, 2, "xy")
-        zr = _as_array(self.zr, np.float64, "zr")
-        if zr.shape != (xy.shape[0],):
-            raise ShapeMismatchError(f"zr shape {zr.shape} != ({xy.shape[0]},)")
-        if not 0 <= self.root < xy.shape[0]:
+        k = xy.shape[0]
+        zr = _shaped(self.zr, np.float64, "zr", (k,))
+        if type(self.root) is not int:  # a plain int skips the ~0.2 µs ABC test and re-store
+            if not _is_int(self.root):
+                raise ConfigError(f"root must be an integer, got {self.root!r}")
+            object.__setattr__(self, "root", int(self.root))
+        if not 0 <= self.root < k:
             raise ShapeMismatchError(f"root index {self.root} out of range")
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "zr", zr)
-        object.__setattr__(self, "valid", _as_mask(self.valid, xy.shape[0]))
-
-    @property
-    def num_keypoints(self) -> int:
-        return self.xy.shape[0]
+        object.__setattr__(self, "valid", _as_mask(self.valid, k))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import hand25d
-from hand25d.errors import BadHeadLengthError, BadScaleError, ConfigError
+from hand25d import serialize
+from hand25d.errors import BadHeadLengthError, BadScaleError, ConfigError, NonFiniteError
 from hand25d.heatmap import HeatmapGrid
 
 
@@ -21,7 +22,10 @@ def _annotated():
         obj = getattr(hand25d, name)
         yield name, obj
         if inspect.isclass(obj):
-            for attr, member in vars(obj).items():
+            # the members of obj and of its bases defined in hand25d, each once
+            bases = [c for c in reversed(obj.__mro__) if c.__module__.startswith("hand25d.")]
+            members = {attr: m for c in bases for attr, m in vars(c).items()}
+            for attr, member in members.items():
                 if isinstance(member, (classmethod, staticmethod)):
                     member = member.__func__
                 elif isinstance(member, property):
@@ -52,6 +56,7 @@ def test_fixed_settings_are_not_parameters():
 
 _POSE = hand25d.Pose3D(np.ones((21, 3)))
 _P25 = hand25d.Pose25D(np.full((1, 2), 4.0), [0.0])
+_CAMERA = {"fx": 40.0, "fy": 40.0, "cx": 15.5, "cy": 15.5}
 SCALAR_CHECKS = {
     "NormalizationConfig.c": (lambda v: hand25d.NormalizationConfig(c=v), ConfigError,
                               lambda v: "normalization constant c must be positive and finite"),
@@ -68,6 +73,9 @@ SCALAR_CHECKS = {
                             ConfigError, lambda v: f"sigma must be finite and positive, got {v}"),
     "gradcheck.eps": (lambda v: hand25d.gradcheck("softargmax", seeds=1, eps=v), ConfigError,
                       lambda v: f"eps must be finite and positive, got {v!r}"),
+    **{f"CameraIntrinsics.{name}": (
+        lambda v, name=name: hand25d.CameraIntrinsics(**{**_CAMERA, name: v}), NonFiniteError,
+        lambda v: "intrinsics must be finite") for name in ("fx", "fy", "cx", "cy", "skew")},
 }
 NOT_ONE_REAL = {"str": "2.0", "None": None, "complex": 2j, "two-values": np.array([1.0, 2.0]),
                 "one-value-array": np.array([2.0]), "huge-int": 10**400, "nan": float("nan")}
@@ -125,6 +133,19 @@ INTEGER_FIELDS = {
                              "grid must be two integers (width, height), got (128,)"),
     "synth-grid-float": (lambda: hand25d.SynthConfig(grid=(128.5, 128)),
                          "grid must be two integers (width, height), got (128.5, 128)"),
+    "root-float": (lambda: hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=1.5),
+                   "root must be an integer, got 1.5"),
+    "root-bool": (lambda: hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=True),
+                  "root must be an integer, got True"),
+    "root-str": (lambda: hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root="0"),
+                 "root must be an integer, got '0'"),
+    "root-none": (lambda: hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=None),
+                  "root must be an integer, got None"),
+    "spread-ones-float": (lambda: hand25d.SpreadParams.ones(2.5), "k must be an integer >= 1, got 2.5"),
+    "spread-ones-bool": (lambda: hand25d.SpreadParams.ones(True), "k must be an integer >= 1, got True"),
+    "spread-ones-str": (lambda: hand25d.SpreadParams.ones("3"), "k must be an integer >= 1, got '3'"),
+    "spread-ones-negative": (lambda: hand25d.SpreadParams.ones(-1), "k must be an integer >= 1, got -1"),
+    "spread-ones-zero": (lambda: hand25d.SpreadParams.ones(0), "k must be an integer >= 1, got 0"),
 }
 
 
@@ -146,6 +167,9 @@ def test_integer_fields_accept_numpy_integers():
     cfg = hand25d.SynthConfig(seed=i(3), grid=(i(128), 128))
     seed = hand25d.gen_pose(cfg, 0)[2].meta["seed"]  # written to JSON as a plain int
     assert type(seed) is int and seed == 3
+    root = hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=i(2)).root
+    assert type(root) is int and root == 2
+    assert hand25d.SpreadParams.ones(np.int32(3)).beta.tolist() == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("make, plain", [
@@ -164,6 +188,19 @@ def test_configs_store_plain_python_numbers(make, plain):
     Python ints and floats: it equals, hashes and prints as the plain one."""
     cfg = make()
     assert cfg == plain and hash(cfg) == hash(plain) and repr(cfg) == repr(plain)
+
+
+@pytest.mark.parametrize("value", [np.float32(40.0), np.array(40.0), 40],
+                         ids=["float32", "0d-array", "int"])
+def test_camera_stores_plain_floats(tmp_path, value):
+    """A camera built from a numpy float, a 0-d array or an int equals and
+    hashes as the float camera, and writes the same camera JSON bytes."""
+    cam = hand25d.CameraIntrinsics(**{**_CAMERA, "fx": value})
+    plain = hand25d.CameraIntrinsics(**_CAMERA)
+    assert cam == plain and hash(cam) == hash(plain) and type(cam.fx) is float
+    serialize.write_camera_json(tmp_path / "cam.json", cam)
+    serialize.write_camera_json(tmp_path / "plain.json", plain)
+    assert (tmp_path / "cam.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_float32_settings_compute_in_float64():

@@ -744,6 +744,68 @@ class TestPoseRecordShapes:
         with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
             build()
 
+    # Per container: (field, trailing width or 0 for a (K,) array, dtype,
+    # whether None is allowed), in the order construction checks them.
+    # Pose25D checks its root (0 here) after zr, so K = 0 fails there.
+    CONTAINERS = {
+        Pose2D: [("xy", 2, float, False), ("valid", 0, bool, True)],
+        Pose3D: [("xyz", 3, float, False), ("valid", 0, bool, True)],
+        Pose25D: [("xy", 2, float, False), ("zr", 0, float, False), ("valid", 0, bool, True)],
+        serialize.PoseRecord: [("valid", 0, bool, False), ("px", 2, float, True),
+                               ("xyz_mm", 3, float, True), ("zr_norm", 0, float, True)],
+    }
+
+    @staticmethod
+    def _shapes(k, width):
+        """The right shape of a field of K keypoints, then wrong ones: 0-d,
+        empty K, one keypoint more, wrong width, 3-d."""
+        right = (k, width) if width else (k,)
+        wide = (k, width + 1) if width else (k, 1)
+        return [right, (), (0, *right[1:]), (k + 1, *right[1:]), wide, (*right, 1)]
+
+    @staticmethod
+    def _first_error(cls, shapes):
+        """The message today's checks give for `shapes` (None: no array), or
+        None when construction succeeds."""
+        (lead, width, _, _), *rest = TestPoseRecordShapes.CONTAINERS[cls]
+        shape = shapes[lead]
+        if cls is serialize.PoseRecord:
+            if len(shape) != 1:
+                return f"validity mask shape {shape} is not (K,)"
+        elif len(shape) != 2 or shape[1] != width:
+            return f"expected (K, {width}) array, got {shape}"
+        k = shape[0]
+        for name, width, _, _ in rest:
+            want = (k, width) if width else (k,)
+            if shapes[name] is not None and shapes[name] != want:
+                what = "validity mask" if name == "valid" else name
+                return f"{what} shape {shapes[name]} != {want}"
+            if cls is Pose25D and name == "zr" and k == 0:
+                return "root index 0 out of range"
+        return None
+
+    @settings(deadline=None)
+    @given(data=st.data(), cls=st.sampled_from(list(CONTAINERS)), k=st.integers(1, 4))
+    def test_shape_rule_names_the_first_bad_field(self, data, cls, k):
+        """Construction succeeds exactly when every per-keypoint field has
+        its shape; otherwise ShapeMismatchError names the first bad field
+        in check order, with that field's message format."""
+        shapes, kwargs = {}, {}
+        for name, width, dtype, optional in self.CONTAINERS[cls]:
+            options = self._shapes(k, width) + [None] * optional
+            shapes[name] = data.draw(st.sampled_from(options), label=name)
+            if shapes[name] is not None:
+                kwargs[name] = np.ones(shapes[name], dtype=dtype)
+        message = self._first_error(cls, shapes)
+        if message is None:
+            obj = cls(**kwargs)
+            assert obj.num_keypoints == obj.valid.shape[0] == next(iter(shapes.values()))[0]
+            for name, value in kwargs.items():
+                assert getattr(obj, name).shape == shapes[name]
+        else:
+            with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+                cls(**kwargs)
+
 
 class TestRaggedViews:
     """A ragged, non-numeric or out-of-range nesting raises
