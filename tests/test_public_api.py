@@ -167,7 +167,10 @@ def test_integer_fields_accept_numpy_integers():
     cfg = hand25d.SynthConfig(seed=i(3), grid=(i(128), 128))
     seed = hand25d.gen_pose(cfg, 0)[2].meta["seed"]  # written to JSON as a plain int
     assert type(seed) is int and seed == 3
-    root = hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=i(2)).root
+
+
+def test_root_and_spread_size_accept_numpy_integers():
+    root = hand25d.Pose25D(np.zeros((3, 2)), np.zeros(3), root=np.int64(2)).root
     assert type(root) is int and root == 2
     assert hand25d.SpreadParams.ones(np.int32(3)).beta.tolist() == [1.0, 1.0, 1.0]
 
