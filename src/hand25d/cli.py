@@ -30,6 +30,7 @@ from .heatmap import (
     HeatmapGrid,
     HeatmapStack,
     SpreadParams,
+    _stack_pair,
     decode_direct,
     decode_latent,
     encode_direct,
@@ -234,10 +235,9 @@ def _encode_latent(p25: Pose25D, direct: HeatmapStack, amplitude: float) -> Heat
     scaled bump in the likelihood channel (sharp enough under softmax
     that the bump, not the flat background, carries the probability
     mass) and a constant depth map, whose expectation is exact."""
-    like = amplitude * direct.likelihood
-    depth = np.broadcast_to(
-        np.asarray(p25.zr)[:, None, None], direct.likelihood.shape
-    ).copy()
+    like, depth = _stack_pair(*direct.likelihood.shape)
+    np.multiply(amplitude, direct.likelihood, out=like)
+    depth[...] = p25.zr[:, None, None]
     depth[~p25.valid] = 0.0
     return HeatmapStack(kind="latent", likelihood=like, depth=depth)
 

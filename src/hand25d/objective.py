@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoValidKeypointsError, ShapeMismatchError
-from .types import Pose2D, Pose25D, _as_array, _positive_finite
+from .types import Pose2D, Pose25D, _as_array, _as_bools, _positive_finite
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SampleAnnotations:
                 raise ShapeMismatchError("gt_zr must have one value per keypoint")
             object.__setattr__(self, "gt_zr", zr)
             mask = self.zr_valid
-            mask = self.gt_2d.valid.copy() if mask is None else _as_array(mask, bool, "zr_valid")
+            mask = self.gt_2d.valid.copy() if mask is None else _as_bools(mask, "zr_valid")
             if mask.shape != (self.gt_2d.num_keypoints,):
                 raise ShapeMismatchError("zr_valid must have one flag per keypoint")
             object.__setattr__(self, "zr_valid", mask)

@@ -24,7 +24,7 @@ from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeMismatchE
 from .heatmap import HeatmapStack
 from .metrics import EvalReport
 from .skeleton import BoneStats, canonical_skeleton
-from .types import Pose3D, Pose25D, _Keypoints, _as_array, _shaped
+from .types import Pose3D, Pose25D, _Keypoints, _as_bools, _shaped
 
 SCHEMA_VERSION = 1
 H25D_MAGIC = b"H25D"
@@ -110,7 +110,7 @@ class PoseRecord(_Keypoints):
     meta: dict | None = None
 
     def __post_init__(self):
-        self.valid = _as_array(self.valid, bool, "valid")
+        self.valid = _as_bools(self.valid, "valid")
         if self.valid.ndim != 1:
             raise ShapeMismatchError(f"validity mask shape {self.valid.shape} is not (K,)")
         k = self.valid.shape[0]
@@ -255,11 +255,11 @@ def write_pose_records(path: str | Path, records: Iterable[PoseRecord]) -> None:
             obj = record_to_dict(rec)
             try:
                 fh.write(_dumps(obj) + "\n")
-            except ValueError:  # the encoder's error for NaN and infinity
-                raise DataFormatError(f"record {i}: values must be finite; "
-                                      "JSON has no NaN or infinity") from None
-            except TypeError as exc:  # the encoder's error for e.g. a numpy scalar in meta
-                raise DataFormatError(f"record {i}: {exc}") from None
+            except (TypeError, ValueError) as exc:  # e.g. a numpy scalar or a cycle in meta
+                text = str(exc)
+                if text.startswith("Out of range float"):  # the encoder's NaN/infinity error
+                    text = "values must be finite; JSON has no NaN or infinity"
+                raise DataFormatError(f"record {i}: {text}") from None
 
 
 def read_pose_records(path: str | Path) -> list[PoseRecord]:

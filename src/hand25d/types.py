@@ -26,10 +26,31 @@ def _as_array(value, dtype, what: str) -> np.ndarray:
         raise ShapeMismatchError(f"{what} cannot be read as a {np.dtype(dtype)} array: {exc}") from exc
 
 
+def _as_bools(value, what: str) -> np.ndarray:
+    """value as a bool array. A bool array is taken as it is; anything else
+    must read as integers that are all 0 or 1 (or as nothing: [] reads as
+    float64), or ShapeMismatchError names `what`, where a bool cast would
+    count any truthy value (2, 0.5, "no") as True."""
+    if type(value) is np.ndarray and value.dtype == bool:  # not a subclass, as np.asarray
+        return value
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ShapeMismatchError(f"{what} cannot be read as a bool array: {exc}") from exc
+    if arr.dtype != bool:
+        if arr.size and (arr.dtype.kind not in "iu" or (arr.astype(bool) != arr).any()):
+            raise ShapeMismatchError(f"{what} must hold booleans or the integers 0 and 1")
+        arr = arr.astype(bool)
+    return arr
+
+
 def _finite_real(x) -> bool:
-    """x is one real number and finite. A str, None, a complex number or an
-    array that is not 0-d is not one: False, where np.isfinite raises
+    """x is one real number and finite. A bool (Python, numpy or 0-d
+    array), a str, None, a complex number or an array that is not 0-d is
+    not one: False, where math.isfinite takes a bool and np.isfinite raises
     TypeError or gives an array. math.isfinite takes 0.1 µs, np.isfinite ~1."""
+    if not isinstance(x, float) and (isinstance(x, bool) or getattr(x, "dtype", None) == bool):
+        return False  # a float (float64 included) is the usual case and skips the bool tests
     try:
         return math.isfinite(x)
     except (TypeError, OverflowError):
@@ -62,8 +83,9 @@ def _as_points(a, dim: int, what: str) -> np.ndarray:
 
 
 def _shaped(value, dtype, what: str, shape: tuple) -> np.ndarray:
-    """`_as_array`, raising ShapeMismatchError unless the array has `shape`."""
-    arr = _as_array(value, dtype, what)
+    """`_as_array` (`_as_bools` for bool), raising ShapeMismatchError unless
+    the array has `shape`."""
+    arr = _as_bools(value, what) if dtype is bool else _as_array(value, dtype, what)
     if arr.shape != shape:
         raise ShapeMismatchError(f"{what} shape {arr.shape} != {shape}")
     return arr

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hand25d import serialize, synth
+from hand25d import cli, serialize, synth
 from hand25d.errors import DataFormatError, ShapeMismatchError
 from hand25d.heatmap import (
     HeatmapGrid,
@@ -194,6 +194,56 @@ class TestBenchmarkSize:
         got = vjp_spatial_softmax(like, spread, cot_prob)
         want = oracle_vjp_softmax(oracle_softmax(like, beta), like, beta, cot_prob)
         assert all(same_bits(g, o) for g, o in zip(got, want))
+
+
+def assert_halves_of_one_block(first, second):
+    """first and second are the two halves of one C-contiguous (2K, H, W)
+    array, first half first."""
+    block = first.base
+    assert block is not None and second.base is block
+    assert block.flags.c_contiguous and block.shape == (2 * first.shape[0], *first.shape[1:])
+    assert first.ctypes.data == block.ctypes.data
+    assert second.ctypes.data == block.ctypes.data + first.nbytes
+
+
+class TestStackBlock:
+    """The two stacks a call returns are views of one block, as read_h25d's
+    are; the layout changes no bit (TestBitIdentity) and no budget."""
+
+    def test_encode_direct(self):
+        pose = Pose25D(xy=[[3.0, 4.0], [10.5, 2.0], [0.0, 0.0]], zr=[0.0, 0.5, -1.0],
+                       valid=[True, True, False])
+        stack = encode_direct(pose, HeatmapGrid(width=12, height=7))
+        assert_halves_of_one_block(stack.likelihood, stack.depth)
+
+    def test_vjp_decode_latent(self):
+        like, depth, beta, upstream = latent_problem(4, 3, 9, 11, 1.0)
+        cot_like, cot_depth, _ = vjp_decode_latent(
+            HeatmapStack(kind="latent", likelihood=like, depth=depth), SpreadParams(beta=beta),
+            upstream)
+        assert_halves_of_one_block(cot_like, cot_depth)
+
+    def test_read_h25d(self, tmp_path):
+        like, depth, _, _ = latent_problem(5, 2, 3, 4, 1.0)
+        serialize.write_h25d(tmp_path / "s.h25d", HeatmapStack(kind="latent", likelihood=like,
+                                                                depth=depth))
+        back = serialize.read_h25d(tmp_path / "s.h25d")
+        assert_halves_of_one_block(back.likelihood, back.depth)
+
+    def test_cli_latent_encode(self, tmp_path, monkeypatch):
+        """The stack `hand25d encode --kind latent` writes; an invalid
+        keypoint's depth map, written into the shared block, is all zero."""
+        rec = synth.gen_pose(synth.SynthConfig(seed=5), 4)[2]
+        rec.valid[12] = False
+        serialize.write_pose_records(tmp_path / "in.jsonl", [rec])
+        written = []
+        monkeypatch.setattr(serialize, "write_h25d", lambda path, stack: written.append(stack))
+        assert cli.main(["encode", "--in", str(tmp_path / "in.jsonl"), "--kind", "latent",
+                         "--out", str(tmp_path / "m.h25d")]) == 0
+        (stack,) = written
+        assert_halves_of_one_block(stack.likelihood, stack.depth)
+        assert not stack.depth[12].any() and not stack.likelihood[12].any()
+        np.testing.assert_array_equal(stack.depth[0], rec.zr_norm[0])
 
 
 class TestBetaCount:

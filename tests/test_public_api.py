@@ -78,14 +78,15 @@ SCALAR_CHECKS = {
         lambda v: "intrinsics must be finite") for name in ("fx", "fy", "cx", "cy", "skew")},
 }
 NOT_ONE_REAL = {"str": "2.0", "None": None, "complex": 2j, "two-values": np.array([1.0, 2.0]),
-                "one-value-array": np.array([2.0]), "huge-int": 10**400, "nan": float("nan")}
+                "one-value-array": np.array([2.0]), "huge-int": 10**400, "nan": float("nan"),
+                "bool": True, "numpy-bool": np.True_, "bool-array": np.array(True)}
 
 
 @pytest.mark.parametrize("check", SCALAR_CHECKS)
 @pytest.mark.parametrize("value", NOT_ONE_REAL)
 def test_scalar_arguments_raise_the_library_errors(check, value):
-    """A str, None, a complex number, an array that is not 0-d or an int
-    beyond float64 is rejected as NaN is, with the same message, instead of
+    """A str, None, a complex number, an array that is not 0-d, an int
+    beyond float64 or a bool is rejected as NaN is, with the same message, instead of
     escaping as numpy's TypeError or ValueError."""
     call, error, message = SCALAR_CHECKS[check]
     v = NOT_ONE_REAL[value]

@@ -79,6 +79,20 @@ class TestPoseRecordJsonl:
         first = serialize._dumps(serialize.record_to_dict(records[0]))
         assert path.read_text().splitlines() == [first]
 
+    def test_circular_meta_is_not_called_non_finite(self, tmp_path):
+        """Only the encoder's NaN/infinity error reads as the finite-values
+        text; a meta that holds itself reads as the encoder's cycle error."""
+        records = synth_records(2)
+        records[1].meta = {}
+        records[1].meta["self"] = records[1].meta
+        path = tmp_path / "cycle.jsonl"
+        with pytest.raises(DataFormatError, match="^record 1: Circular reference detected$"):
+            serialize.write_pose_records(path, records)
+        records[1].meta = {"t": float("nan")}
+        with pytest.raises(DataFormatError, match="^record 1: values must be finite; "
+                                                  "JSON has no NaN or infinity$"):
+            serialize.write_pose_records(path, records)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         kps = ",".join(f'{{"id":0,"name":"x","valid":false}}' for _ in range(21))
@@ -805,6 +819,61 @@ class TestPoseRecordShapes:
         else:
             with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
                 cls(**kwargs)
+
+
+class TestMaskValues:
+    """A validity mask is a bool array or 0/1 integers; any other value
+    raises ShapeMismatchError naming the mask, before its shape is checked,
+    where a bool cast would read every truthy value as True."""
+
+    BAD = [["no", "x"], [0.5, 2.0], [1, 3], [-1, 0], [True, None], [1.0, 0.0],
+           np.array([1, 2]), np.array([0.0, 1.0]), [[1, 2], [0, 1]]]
+    BAD_IDS = ["str", "float", "int-3", "int-minus-1", "none", "float-01", "int-array",
+               "float-array", "2d-int"]
+
+    @pytest.mark.parametrize("valid", BAD, ids=BAD_IDS)
+    @pytest.mark.parametrize("build", [
+        lambda v: Pose3D(np.ones((2, 3)), valid=v),
+        lambda v: Pose2D(np.ones((2, 2)), valid=v),
+        lambda v: Pose25D(np.ones((2, 2)), np.zeros(2), valid=v),
+    ], ids=["Pose3D", "Pose2D", "Pose25D"])
+    def test_pose_containers_reject(self, build, valid):
+        with pytest.raises(ShapeMismatchError,
+                           match="^validity mask must hold booleans or the integers 0 and 1$"):
+            build(valid)
+
+    @pytest.mark.parametrize("valid", BAD + [[1, 0, 3], None], ids=BAD_IDS + ["int-3-of-3", "None"])
+    def test_pose_record_rejects(self, valid):
+        with pytest.raises(ShapeMismatchError,
+                           match="^valid must hold booleans or the integers 0 and 1$"):
+            serialize.PoseRecord(valid=valid)
+
+    def test_annotation_mask_rejects(self):
+        with pytest.raises(ShapeMismatchError,
+                           match="^zr_valid must hold booleans or the integers 0 and 1$"):
+            SampleAnnotations(Pose2D(xy=np.zeros((2, 2))), gt_zr=[0.0, 0.0], zr_valid=[1, 2])
+
+    def test_value_rule_comes_before_the_shape_rule(self):
+        with pytest.raises(ShapeMismatchError, match="^validity mask must hold booleans"):
+            Pose3D(np.ones((2, 3)), valid=[0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("valid", [
+        [True, False], [1, 0], np.array([1, 0], dtype=np.uint8), np.array([1, 0], dtype=np.int64),
+        (np.True_, np.False_),
+    ], ids=["bools", "ints", "uint8", "int64", "numpy-bools"])
+    def test_bools_and_01_integers_accepted(self, valid):
+        for mask in (Pose3D(np.ones((2, 3)), valid=valid).valid,
+                     serialize.PoseRecord(valid=valid).valid):
+            assert mask.dtype == bool and mask.tolist() == [True, False]
+
+    def test_bool_array_is_kept_as_given(self):
+        mask = np.array([True, False])
+        assert Pose3D(np.ones((2, 3)), valid=mask).valid is mask
+        assert serialize.PoseRecord(valid=mask).valid is mask
+
+    def test_empty_list_is_an_empty_mask(self):
+        assert Pose2D(np.zeros((0, 2)), valid=[]).valid.dtype == bool
+        assert serialize.PoseRecord(valid=[]).num_keypoints == 0
 
 
 class TestRaggedViews:
