@@ -30,7 +30,6 @@ from .heatmap import (
     HeatmapGrid,
     HeatmapStack,
     SpreadParams,
-    _stack_pair,
     decode_direct,
     decode_latent,
     encode_direct,
@@ -234,9 +233,10 @@ def _encode_latent(p25: Pose25D, direct: HeatmapStack, amplitude: float) -> Heat
     """Synthetic latent maps from the direct maps of the same pose: a
     scaled bump in the likelihood channel (sharp enough under softmax
     that the bump, not the flat background, carries the probability
-    mass) and a constant depth map, whose expectation is exact."""
-    like, depth = _stack_pair(*direct.likelihood.shape)
-    np.multiply(amplitude, direct.likelihood, out=like)
+    mass) and a constant depth map, whose expectation is exact. Both are
+    written over direct's own block, so direct must not be used after."""
+    like, depth = direct.likelihood, direct.depth
+    np.multiply(amplitude, like, out=like)
     depth[...] = p25.zr[:, None, None]
     depth[~p25.valid] = 0.0
     return HeatmapStack(kind="latent", likelihood=like, depth=depth)
